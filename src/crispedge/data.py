@@ -211,12 +211,17 @@ def gen_synthetic(count, size, annotators, jitter_px, seed):
         raise ContractError(f"image size must be at least 24x24, got {size}")
     if annotators < 1:
         raise ContractError(f"annotators must be >= 1, got {annotators}")
-    if jitter_px < 0:
-        raise ContractError(f"jitter_px must be >= 0, got {jitter_px}")
+    if not 0 <= jitter_px < np.inf:
+        raise ContractError(f"jitter_px must be finite and >= 0, got {jitter_px}")
     if count < 0:
         raise ContractError(f"count must be >= 0, got {count}")
 
     margin = 4.0 + float(np.ceil(jitter_px))
+    # _sample_shape keeps a shape's centre margin + radius from every edge, with
+    # radii up to max(short side / 4, 6.5)
+    if min(h, w) - 1 - 2 * margin - 2 * max(min(h, w) / 4.0, 6.5) < 0:
+        raise ContractError(f"jitter_px {jitter_px} leaves no room to place shapes "
+                            f"in a {h}x{w} image")
     samples = []
     for i in range(count):
         rng = np.random.default_rng([seed, i])

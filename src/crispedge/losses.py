@@ -10,6 +10,7 @@ term.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -81,6 +82,8 @@ class ConsensusWeightMap:
             arr = arr[:, None]
         if arr.ndim != 4 or arr.shape[1] != 1:
             raise ShapeError(f"weight map must be (B, 1, H, W), got {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise DomainError("weight map has non-finite values")
         if np.any(arr < 0.0) or np.any(arr > 1.0):
             raise DomainError(f"weights must lie in [0, 1], range is [{arr.min()}, {arr.max()}]")
         pos = int(np.count_nonzero(arr > 0.0))
@@ -124,6 +127,9 @@ class LossConfig:
     clamp: float = 1e-6
 
     def __post_init__(self):
+        for name in ("epsilon", "zeta", "clamp"):
+            if not math.isfinite(getattr(self, name)):
+                raise ContractError(f"{name} must be finite, got {getattr(self, name)}")
         if self.epsilon <= 0.0:
             raise ContractError(f"epsilon must be positive, got {self.epsilon}")
         if self.zeta <= 0.0:
@@ -139,8 +145,9 @@ class AdaptiveLossState:
     __slots__ = ("log_kappa", "log_tau")
 
     def __init__(self, kappa: float = 1.0, tau: float = 1.0):
-        if kappa <= 0.0 or tau <= 0.0:
-            raise ContractError(f"fusion weights must be positive, got kappa={kappa}, tau={tau}")
+        if not (0.0 < kappa < math.inf and 0.0 < tau < math.inf):
+            raise ContractError(f"fusion weights must be positive and finite, "
+                                f"got kappa={kappa}, tau={tau}")
         self.log_kappa = Parameter(np.full((1, 1, 1, 1), np.log(kappa)))
         self.log_tau = Parameter(np.full((1, 1, 1, 1), np.log(tau)))
 

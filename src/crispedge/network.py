@@ -22,6 +22,7 @@ from .tensorcore import (
     bilinear_resize,
     conv2d,
     mul,
+    no_grad,
     relu,
     resize_array,
     sigmoid,
@@ -292,10 +293,11 @@ def build_refine_net(topology: NetworkTopology | None = None, seed: int = 0) -> 
 
 
 def predict(net: RefineNet, image: Tensor) -> np.ndarray:
-    """Single forward pass; returns the H x W probability map."""
+    """Single graph-free forward pass; returns the H x W probability map."""
     if image.shape[0] != 1:
         raise ContractError(f"predict takes a single-image batch, got batch {image.shape[0]}")
-    return net.forward(image).data[0, 0].copy()
+    with no_grad():
+        return net.forward(image).data[0, 0].copy()
 
 
 def predict_multiscale(net: RefineNet, image: Tensor, scales: ScaleSet = ScaleSet()) -> np.ndarray:
@@ -310,7 +312,8 @@ def predict_multiscale(net: RefineNet, image: Tensor, scales: ScaleSet = ScaleSe
         if th < 8 or tw < 8:
             raise ContractError(f"scale {s} shrinks the image to {th}x{tw}; "
                                 "both axes must stay >= 8 px")
-        scaled = image if (th, tw) == (h, w) else bilinear_resize(image, th, tw)
+        with no_grad():
+            scaled = image if (th, tw) == (h, w) else bilinear_resize(image, th, tw)
         p = predict(net, scaled)
         if p.shape != (h, w):
             p = resize_array(p, h, w)

@@ -2,12 +2,15 @@
 
 Every tensor carries a (batch, channels, height, width) shape and float64
 values. Operations record their inputs and a gradient closure on the output
-tensor; ``backward`` replays them in reverse topological order. Scalars are
-(1, 1, 1, 1) tensors.
+tensor; ``backward`` replays them in reverse topological order. Inside
+``no_grad()`` nothing is recorded: every result is a leaf, so inference holds
+no inputs, masks or padded copies. Scalars are (1, 1, 1, 1) tensors.
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +18,26 @@ import numpy as np
 from .errors import ContractError, DomainError, ShapeError
 
 Shape = tuple[int, int, int, int]
+
+# A conv2d forward whose im2col view would exceed this many elements runs
+# over blocks of output rows. A batch of ten 64x64 images stays below it in
+# every layer of the default network, so training arithmetic is unchanged.
+_IM2COL_BUDGET = 1 << 22
+
+_recording = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no graph inside the block: results carry no parents and no
+    gradient closure. Recording resumes on exit, also when the block raises.
+    The switch is process-wide, not per thread."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
 
 
 def _as_data(values) -> np.ndarray:
@@ -43,6 +66,8 @@ class Tensor:
     def __init__(self, values, _parents: tuple = (), _grad_fn=None):
         self.data = _as_data(values)
         self.grad: np.ndarray | None = None
+        if not _recording:
+            _parents, _grad_fn = (), None
         self._parents = _parents
         self._grad_fn = _grad_fn
 
@@ -214,19 +239,15 @@ def add(a: Tensor, b) -> Tensor:
     if isinstance(b, Tensor):
         if a.shape != b.shape and not _broadcastable(a.shape, b.shape):
             raise ShapeError(f"add shapes {a.shape} and {b.shape} do not align")
-        out = Tensor(a.data + b.data, _parents=(a, b))
 
         def grad_fn(g: np.ndarray) -> None:
             _accumulate(a, _unbroadcast(g, a.shape))
             _accumulate(b, _unbroadcast(g, b.shape))
 
-        out._grad_fn = grad_fn
-        return out
+        return Tensor(a.data + b.data, (a, b), grad_fn)
 
     const = np.asarray(b, dtype=np.float64)
-    out = Tensor(a.data + const, _parents=(a,))
-    out._grad_fn = lambda g: _accumulate(a, _unbroadcast(g, a.shape))
-    return out
+    return Tensor(a.data + const, (a,), lambda g: _accumulate(a, _unbroadcast(g, a.shape)))
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -234,82 +255,80 @@ def mul(a: Tensor, b) -> Tensor:
     if isinstance(b, Tensor):
         if a.shape != b.shape and not _broadcastable(a.shape, b.shape):
             raise ShapeError(f"mul shapes {a.shape} and {b.shape} do not align")
-        out = Tensor(a.data * b.data, _parents=(a, b))
 
         def grad_fn(g: np.ndarray) -> None:
             _accumulate(a, _unbroadcast(g * b.data, a.shape))
             _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
-        out._grad_fn = grad_fn
-        return out
+        return Tensor(a.data * b.data, (a, b), grad_fn)
 
     const = np.asarray(b, dtype=np.float64)
-    out = Tensor(a.data * const, _parents=(a,))
-    out._grad_fn = lambda g: _accumulate(a, _unbroadcast(g * const, a.shape))
-    return out
+    return Tensor(a.data * const, (a,), lambda g: _accumulate(a, _unbroadcast(g * const, a.shape)))
 
 
 def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0.0), _parents=(x,))
-    mask = x.data > 0.0
-    out._grad_fn = lambda g: _accumulate(x, g * mask)
-    return out
+    return Tensor(np.maximum(x.data, 0.0), (x,), lambda g: _accumulate(x, g * (x.data > 0.0)))
 
 
 def sigmoid(x: Tensor) -> Tensor:
     d = x.data
     s = np.where(d >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
-    out = Tensor(s, _parents=(x,))
-    out._grad_fn = lambda g: _accumulate(x, g * s * (1.0 - s))
-    return out
+    return Tensor(s, (x,), lambda g: _accumulate(x, g * s * (1.0 - s)))
 
 
 def exp(x: Tensor) -> Tensor:
     e = np.exp(x.data)
-    out = Tensor(e, _parents=(x,))
-    out._grad_fn = lambda g: _accumulate(x, g * e)
-    return out
+    return Tensor(e, (x,), lambda g: _accumulate(x, g * e))
 
 
 def log(x: Tensor) -> Tensor:
     if np.any(x.data <= 0.0):
         raise DomainError(f"log needs strictly positive input, min is {x.data.min()}")
-    out = Tensor(np.log(x.data), _parents=(x,))
-    out._grad_fn = lambda g: _accumulate(x, g / x.data)
-    return out
+    return Tensor(np.log(x.data), (x,), lambda g: _accumulate(x, g / x.data))
 
 
 def square(x: Tensor) -> Tensor:
-    out = Tensor(x.data * x.data, _parents=(x,))
-    out._grad_fn = lambda g: _accumulate(x, g * 2.0 * x.data)
-    return out
+    return Tensor(x.data * x.data, (x,), lambda g: _accumulate(x, g * 2.0 * x.data))
 
 
 def reciprocal(x: Tensor) -> Tensor:
     if np.any(x.data == 0.0):
         raise DomainError("reciprocal of zero")
     inv = 1.0 / x.data
-    out = Tensor(inv, _parents=(x,))
-    out._grad_fn = lambda g: _accumulate(x, -g * inv * inv)
-    return out
+    return Tensor(inv, (x,), lambda g: _accumulate(x, -g * inv * inv))
 
 
 def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp values into [lo, hi]; gradient is zero where the clamp binds."""
-    out = Tensor(np.clip(x.data, lo, hi), _parents=(x,))
-    mask = (x.data >= lo) & (x.data <= hi)
-    out._grad_fn = lambda g: _accumulate(x, g * mask)
-    return out
+    return Tensor(np.clip(x.data, lo, hi), (x,),
+                  lambda g: _accumulate(x, g * ((x.data >= lo) & (x.data <= hi))))
 
 
 def global_sum(x: Tensor) -> Tensor:
-    out = Tensor(np.full((1, 1, 1, 1), x.data.sum()), _parents=(x,))
-    out._grad_fn = lambda g: _accumulate(x, np.broadcast_to(g, x.shape))
-    return out
+    return Tensor(np.full((1, 1, 1, 1), x.data.sum()), (x,),
+                  lambda g: _accumulate(x, np.broadcast_to(g, x.shape)))
 
 
 # ---------------------------------------------------------------------------
 # spatial operations
+
+
+def _conv_forward(view: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Contract an im2col view (B,C,KH,KW,OH,OW) with a kernel (O,C,KH,KW).
+
+    A view over ``_IM2COL_BUDGET`` elements is contracted over blocks of
+    output rows, so the copy einsum makes of it stays bounded. A 1x1 view is
+    the input itself and is never split.
+    """
+    b, c, kh, kw, oh, ow = view.shape
+    if kh * kw == 1 or view.size <= _IM2COL_BUDGET:
+        return np.einsum("bcijhw,ocij->bohw", view, kernel, optimize=True)
+    y = np.empty((b, kernel.shape[0], oh, ow))
+    rows = max(1, _IM2COL_BUDGET // (b * c * kh * kw * ow))
+    for r in range(0, oh, rows):
+        y[:, :, r:r + rows] = np.einsum("bcijhw,ocij->bohw", view[..., r:r + rows, :], kernel,
+                                        optimize=True)
+    return y
 
 
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -333,8 +352,6 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     view = np.lib.stride_tricks.as_strided(
         xp, (b, c, kh, kw, oh, ow),
         (s[0], s[1], s[2], s[3], s[2] * stride, s[3] * stride))
-    y = np.einsum("bcijhw,ocij->bohw", view, kernel.data, optimize=True)
-    out = Tensor(y, _parents=(x, kernel))
 
     def grad_fn(g: np.ndarray) -> None:
         dk = np.einsum("bcijhw,bohw->ocij", view, g, optimize=True)
@@ -348,8 +365,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
             dxp = dxp[:, :, padding:padding + h, padding:padding + w]
         _accumulate(x, dxp)
 
-    out._grad_fn = grad_fn
-    return out
+    return Tensor(_conv_forward(view, kernel.data), (x, kernel), grad_fn)
 
 
 def resize_weights(src: int, dst: int) -> np.ndarray:
@@ -388,19 +404,15 @@ def bilinear_resize(x: Tensor, target_h: int, target_w: int) -> Tensor:
         raise ShapeError(f"target size must be at least 1x1, got {target_h}x{target_w}")
     _, _, h, w = x.shape
     if target_h == h and target_w == w:
-        out = Tensor(x.data, _parents=(x,))
-        out._grad_fn = lambda g: _accumulate(x, g)
-        return out
+        return Tensor(x.data, (x,), lambda g: _accumulate(x, g))
     wh = resize_weights(h, target_h)
     ww = resize_weights(w, target_w)
     y = np.einsum("uw,th,bchw->bctu", ww, wh, x.data, optimize=True)
-    out = Tensor(y, _parents=(x,))
 
     def grad_fn(g: np.ndarray) -> None:
         _accumulate(x, np.einsum("uw,th,bctu->bchw", ww, wh, g, optimize=True))
 
-    out._grad_fn = grad_fn
-    return out
+    return Tensor(y, (x,), grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -418,12 +430,17 @@ class OptimizerConfig:
     lr_decay: float = 0.1
 
     def __post_init__(self):
+        for name in ("learning_rate", "momentum", "weight_decay", "lr_decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise ContractError(f"{name} must be finite, got {getattr(self, name)}")
         if self.learning_rate <= 0.0:
             raise ContractError(f"learning_rate must be positive, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ContractError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.weight_decay < 0.0:
             raise ContractError(f"weight_decay must be non-negative, got {self.weight_decay}")
+        if self.lr_decay <= 0.0:
+            raise ContractError(f"lr_decay must be positive, got {self.lr_decay}")
 
 
 def sgd_step(params: list[Parameter], config: OptimizerConfig) -> None:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +44,9 @@ class TrainConfig:
     loss_config: LossConfig = LossConfig()
 
     def __post_init__(self):
+        for name in ("manual_kappa", "manual_tau", "holdout_fraction", "eval_fraction"):
+            if not math.isfinite(getattr(self, name)):
+                raise ContractError(f"{name} must be finite, got {getattr(self, name)}")
         if self.batch_size < 1:
             raise ContractError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
@@ -136,6 +140,11 @@ def train(dataset, topology=None, config=TrainConfig()):
         if awl_state is not None:
             report.kappa_trace.append(awl_state.kappa)
             report.tau_trace.append(awl_state.tau)
+    # the loss check above runs before each step, so the last step is checked here
+    final = [p.data for p in params] + ([awl_state.kappa, awl_state.tau] if awl_state else [])
+    if not all(np.isfinite(v).all() for v in final):
+        raise TrainingError(f"non-finite parameters or fusion weights after the last step "
+                            f"of epoch {config.epochs - 1}")
 
     if holdout_set:
         preds = [predict(net, s.image) for s in holdout_set]

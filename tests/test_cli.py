@@ -257,7 +257,8 @@ def test_bad_loss_mode_exits_3(tmp_path, capsys):
 
 def exit_case_inputs(tmp_path):
     """Small inputs for the exit-code table: one-image eval manifests with a
-    PGM, a finite CRB and a NaN CRB prediction, and infer's params and image."""
+    PGM, a finite CRB and a NaN CRB prediction, infer's params and image, and
+    a two-sample training set."""
     rng = np.random.default_rng(4)
     ann = np.zeros((16, 16))
     ann[8, 2:14] = 1.0
@@ -272,6 +273,7 @@ def exit_case_inputs(tmp_path):
     net = build_refine_net(default_topology(), seed=0)
     write_crb(str(tmp_path / "params.crb"), np.concatenate([p.data.ravel() for p in net.params()]))
     write_image(str(tmp_path / "image.pgm"), rng.random((16, 16)))
+    save_dataset(gen_synthetic(2, (24, 24), 2, 1.0, seed=1), str(tmp_path / "ds"))
 
 
 EXIT_CASES = [
@@ -283,6 +285,12 @@ EXIT_CASES = [
      "infer --params {dir}/params.crb --image {dir}/image.pgm --scales abc --out {dir}/p.crb", 3),
     ("infer-scales-nan",
      "infer --params {dir}/params.crb --image {dir}/image.pgm --scales 1,nan --out {dir}/p.crb", 3),
+    ("train-learning-rate-nan",
+     "train --manifest {dir}/ds/manifest.tsv --epochs 1 --learning-rate nan --out-dir {dir}/t", 3),
+    ("train-last-step-overflows",
+     "train --manifest {dir}/ds/manifest.tsv --epochs 1 --learning-rate 1e300 --out-dir {dir}/t", 5),
+    ("gen-jitter-too-large",
+     "gen --count 2 --height 24 --width 24 --jitter 12 --out-dir {dir}/g", 3),
 ]
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,14 @@ from crispedge.network import (
     predict,
     predict_multiscale,
 )
-from crispedge.tensorcore import Parameter, Tensor, backward, zero_grads
+from crispedge.tensorcore import (
+    Parameter,
+    Tensor,
+    backward,
+    bilinear_resize,
+    resize_array,
+    zero_grads,
+)
 
 from oracles import bilinear_scalar, conv2d_loops, fd_gradient, rel_err
 
@@ -254,6 +263,27 @@ def test_predict_pure_and_batch_contract():
         predict(net, Tensor(np.zeros((2, 1, 16, 16))))
 
 
+@pytest.mark.parametrize("h,w", [(64, 64), (321, 481)])
+def test_graph_free_predict_equals_graph_forward(h, w):
+    net = build_refine_net(seed=11)
+    img = Tensor(np.random.default_rng(h).uniform(0, 1, (1, 1, h, w)))
+    want = net.forward(img).data[0, 0]
+    assert np.array_equal(predict(net, img), want)
+
+
+def test_predict_peak_memory_at_bsds_size():
+    net = build_refine_net(seed=0)
+    img = Tensor(np.random.default_rng(0).uniform(0, 1, (1, 1, 321, 481)))
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        predict(net, img)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 2**20  # the graph-building forward peaks near 426 MB
+
+
 def test_predict_zero_image_gives_half():
     net = build_refine_net(seed=3)
     out = predict(net, Tensor(np.zeros((1, 1, 16, 16))))
@@ -314,21 +344,20 @@ def test_multiscale_constant_network():
 
 
 def test_multiscale_equals_hand_composition():
-    from crispedge.tensorcore import bilinear_resize, resize_array
-
+    # built from graph-building forwards, so the graph-free path must match bit for bit
     net = build_refine_net(seed=7)
-    img = Tensor(np.random.default_rng(10).uniform(0, 1, (1, 1, 32, 32)))
+    img = Tensor(np.random.default_rng(10).uniform(0, 1, (1, 1, 64, 64)))
     maps = []
     for s in (0.5, 1.0, 2.0):
-        th, tw = int(round(32 * s)), int(round(32 * s))
+        th, tw = int(round(64 * s)), int(round(64 * s))
         scaled = img if s == 1.0 else bilinear_resize(img, th, tw)
-        m = predict(net, scaled)
-        if m.shape != (32, 32):
-            m = resize_array(m, 32, 32)
+        m = net.forward(scaled).data[0, 0]
+        if m.shape != (64, 64):
+            m = resize_array(m, 64, 64)
         maps.append(m)
     want = (maps[0] + maps[1] + maps[2]) / 3.0
     got = predict_multiscale(net, img, ScaleSet((0.5, 1.0, 2.0)))
-    assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
+    assert np.array_equal(got, want)
 
 
 def test_multiscale_too_small_rejected():

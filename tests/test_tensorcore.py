@@ -16,6 +16,7 @@ from crispedge.tensorcore import (
     global_sum,
     log,
     mul,
+    no_grad,
     reciprocal,
     relu,
     resize_array,
@@ -23,6 +24,7 @@ from crispedge.tensorcore import (
     sigmoid,
     square,
 )
+from crispedge.network import default_topology
 
 from oracles import FD_STEP, bilinear_scalar, conv2d_loops, fd_gradient, rel_err
 
@@ -56,6 +58,44 @@ def test_conv_matches_nested_loop_oracle():
         got = conv2d(Tensor(x), Tensor(k), stride=stride, padding=padding).data
         want = conv2d_loops(x, k, stride=stride, padding=padding)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def _default_3x3_conv_shapes(h, w):
+    """(out, in, stride, input h, input w) of every 3x3 conv in the default
+    network on an h x w image: the encoder stages and each block's weight conv."""
+    topo = default_topology()
+    shapes, c, sizes = [], topo.in_channels, {1: (h, w)}
+    for st, scale in zip(topo.encoder_stages, topo.stage_scales()):
+        ih, iw = sizes[scale // st.stride]
+        shapes.append((st.channels, c, st.stride, ih, iw))
+        sizes[scale] = (-(-ih // st.stride), -(-iw // st.stride))
+        c = st.channels
+    known = topo.validate()
+    for level in topo.refine_levels:
+        for spec in level:
+            shapes.append((spec.out_channels, spec.out_channels, 1) + sizes[known[spec.name][1]])
+    return shapes
+
+
+def test_chunked_conv_forward_bit_exact_at_double_bsds_size():
+    from crispedge.tensorcore import _IM2COL_BUDGET
+
+    rng = np.random.default_rng(12)
+    chunked = 0
+    for o, c, stride, h, w in _default_3x3_conv_shapes(642, 962):
+        x = Tensor(rng.standard_normal((1, c, h, w)))
+        k = Tensor(rng.standard_normal((o, c, 3, 3)))
+        with no_grad():
+            got = conv2d(x, k, stride=stride, padding=1).data
+        xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        s = xp.strides
+        view = np.lib.stride_tricks.as_strided(
+            xp, (1, c, 3, 3) + got.shape[2:], s + (s[2] * stride, s[3] * stride))
+        chunked += view.size > _IM2COL_BUDGET
+        want = np.einsum("bcijhw,ocij->bohw", view, k.data, optimize=True)
+        assert np.array_equal(got, want), (o, c, stride, h, w)
+        del x, xp, view, want, got
+    assert chunked == 7
 
 
 def test_conv_channel_mismatch():
@@ -353,3 +393,37 @@ def test_parameter_owns_its_buffer():
     p.grad[...] = 1.0
     sgd_step([p], OptimizerConfig(learning_rate=0.5, momentum=0.0, weight_decay=0.0))
     assert src[0, 0, 0, 0] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# no_grad
+
+
+def test_no_grad_results_are_leaves_and_recording_resumes():
+    rng = np.random.default_rng(13)
+    x = Tensor(rng.uniform(0.5, 1.5, (1, 2, 6, 6)))
+    k = Parameter(rng.standard_normal((3, 2, 3, 3)))
+    ops = [
+        lambda: add(x, x), lambda: add(x, 1.0), lambda: mul(x, x), lambda: mul(x, 2.0),
+        lambda: relu(x), lambda: sigmoid(x), lambda: exp(x), lambda: log(x),
+        lambda: square(x), lambda: reciprocal(x), lambda: clip(x, 0.8, 1.2),
+        lambda: global_sum(x), lambda: conv2d(x, k, padding=1),
+        lambda: bilinear_resize(x, 6, 6), lambda: bilinear_resize(x, 9, 4),
+    ]
+    recorded = [op() for op in ops]
+    with no_grad():
+        leaves = [op() for op in ops]
+    for graph_out, leaf in zip(recorded, leaves):
+        assert leaf._parents == () and leaf._grad_fn is None
+        assert np.array_equal(leaf.data, graph_out.data)
+    assert all(t._parents and t._grad_fn is not None for t in recorded)
+
+    with pytest.raises(DomainError):
+        with no_grad():
+            log(Tensor(-np.ones((1, 1, 2, 2))))
+    with no_grad():
+        with no_grad():
+            pass
+        assert relu(x)._grad_fn is None
+    after = relu(x)
+    assert after._parents == (x,) and after._grad_fn is not None

@@ -79,6 +79,21 @@ def test_divergence_reports_epoch_and_batch():
         train(ds, config=cfg)
 
 
+def test_non_finite_parameters_after_last_step_rejected(monkeypatch):
+    import crispedge.trainer as trainer_mod
+
+    real_step = trainer_mod.sgd_step
+
+    def poisoned_step(params, opt):
+        real_step(params, opt)
+        params[0].data[0, 0, 0, 0] = np.nan
+
+    monkeypatch.setattr(trainer_mod, "sgd_step", poisoned_step)
+    cfg = TrainConfig(batch_size=4, epochs=1, loss_mode="sce", seed=0, holdout_fraction=0.0)
+    with pytest.raises(TrainingError, match="after the last step of epoch 0"):
+        train(tiny_set(4), config=cfg)
+
+
 def test_every_mode_trains_one_epoch():
     ds = tiny_set(6)
     for mode in ("ce", "sce", "sd", "sce+sd", "awl"):
