@@ -16,6 +16,7 @@ from .data import (
     gen_synthetic,
     load_dataset,
     load_manifest,
+    read_annotation,
     read_crb,
     read_image,
     read_raster,
@@ -42,6 +43,7 @@ from .evalbench import (
 from .losses import (
     AdaptiveLossState,
     AnnotationSet,
+    LossConfig,
     adaptive_loss,
     batch_weight_maps,
 )
@@ -63,7 +65,14 @@ from .tensorcore import (
     conv2d,
 )
 from . import tensorcore as tc
-from .trainer import TrainConfig, ablation_csv, ablation_run, loss_trace_csv, train
+from .trainer import (
+    TrainConfig,
+    ablation_csv,
+    ablation_run,
+    holdout_split,
+    loss_trace_csv,
+    train,
+)
 
 DEFAULTS = {
     "gen.count": "200",
@@ -88,7 +97,6 @@ DEFAULTS = {
     "loss.clamp": "1e-6",
     "eval.max_dist_fraction": "0.0075",
     "eval.n_thresholds": "33",
-    "net.topology": "default",
     "infer.scales": "",
 }
 
@@ -172,13 +180,6 @@ class CliConfig:
                               f"got '{raw}'") from exc
 
 
-def _topology_from(cfg):
-    name = cfg.get_str("net.topology")
-    if name != "default":
-        raise ConfigError(f"net.topology supports only 'default', got '{name}'")
-    return default_topology()
-
-
 def _flat_params(net):
     return np.concatenate([p.data.ravel() for p in net.params()])
 
@@ -205,8 +206,6 @@ def _train_config(cfg, seed):
         weight_decay=cfg.get_float("opt.weight_decay"),
         lr_decay=cfg.get_float("opt.lr_decay"),
     )
-    from .losses import LossConfig
-
     loss_cfg = LossConfig(
         epsilon=cfg.get_float("loss.epsilon"),
         zeta=cfg.get_float("loss.zeta"),
@@ -239,8 +238,6 @@ def _cmd_gen(cfg, args):
         cfg.get_float("gen.jitter_px"),
         seed=args.seed,
     )
-    from .trainer import holdout_split
-
     held = holdout_split([s.id for s in samples], cfg.get_float("train.holdout_fraction"))
     splits = {s.id: ("test" if s.id in held else "train") for s in samples}
     manifest_path = save_dataset(samples, args.out_dir, splits=splits)
@@ -251,7 +248,7 @@ def _cmd_gen(cfg, args):
 def _cmd_train(cfg, args):
     dataset = load_dataset(args.manifest)
     config = _train_config(cfg, args.seed)
-    net, report = train(dataset, _topology_from(cfg), config)
+    net, report = train(dataset, default_topology(), config)
     os.makedirs(args.out_dir, exist_ok=True)
     params_path = os.path.join(args.out_dir, "params.crb")
     write_crb(params_path, _flat_params(net))
@@ -267,7 +264,7 @@ def _cmd_train(cfg, args):
 
 
 def _cmd_infer(cfg, args):
-    net = build_refine_net(_topology_from(cfg), seed=0)
+    net = build_refine_net(default_topology(), seed=0)
     _load_params_into(net, args.params)
     image = read_raster(args.image)
     scales = cfg.get_float_list("infer.scales")
@@ -297,12 +294,11 @@ def _cmd_eval(cfg, args):
     preds, anns = [], []
     for entry in manifest.entries:
         preds.append(_read_prediction(entry.image_path))
-        maps = [_read_annotation_for_eval(p) for p in entry.ann_paths]
+        maps = [read_annotation(p) for p in entry.ann_paths]
         anns.append(AnnotationSet(maps))
     fraction = cfg.get_float("eval.max_dist_fraction")
     report = eval_criteria(preds, anns, fraction,
-                           n_thresholds=cfg.get_int("eval.n_thresholds"),
-                           jobs=args.jobs)
+                           n_thresholds=cfg.get_int("eval.n_thresholds"))
     h, w = preds[0].shape
     d0 = tolerance_pixels(h, w, fraction)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -318,17 +314,11 @@ def _cmd_eval(cfg, args):
     return 0
 
 
-def _read_annotation_for_eval(path):
-    from .data import read_annotation
-
-    return read_annotation(path)
-
-
 def _cmd_ablate(cfg, args):
     dataset = load_dataset(args.manifest)
     config = _train_config(cfg, args.seed)
     modes = tuple(args.modes.split(",")) if args.modes else ("sce", "sd", "sce+sd", "awl")
-    rows = ablation_run(dataset, _topology_from(cfg), modes, config)
+    rows = ablation_run(dataset, default_topology(), modes, config)
     csv = ablation_csv(rows)
     os.makedirs(args.out_dir, exist_ok=True)
     with open(os.path.join(args.out_dir, "ablation.csv"), "w", encoding="ascii") as fh:
@@ -485,13 +475,11 @@ def build_parser():
                                      description="Crisp boundary detection toolkit.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, jobs=False):
+    def common(sp):
         sp.add_argument("--config", help="key = value config file")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--show-config", action="store_true",
                         help="print the effective configuration and exit")
-        if jobs:
-            sp.add_argument("--jobs", type=int, default=1)
 
     sp = subs.add_parser("gen", help="generate a synthetic dataset")
     common(sp)
@@ -519,7 +507,7 @@ def build_parser():
     sp.add_argument("--out")
 
     sp = subs.add_parser("eval", help="benchmark predictions against annotations")
-    common(sp, jobs=True)
+    common(sp)
     sp.add_argument("--manifest", required=True)
     sp.add_argument("--max-dist-fraction", type=float)
     sp.add_argument("--n-thresholds", type=int)

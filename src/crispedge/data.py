@@ -1,4 +1,4 @@
-"""Synthetic multi-annotator boundary datasets, augmentation, and raster I/O.
+"""Synthetic multi-annotator boundary datasets and raster I/O.
 
 The generator draws filled shapes with known outlines, so ground truth is
 exact by construction. Annotator disagreement is modeled as a smooth
@@ -12,7 +12,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import affine_transform, gaussian_filter
+from scipy.ndimage import gaussian_filter
 
 from .errors import ContractError, ParseError, ShapeError, ValidationError
 from .evalbench import thin_binary
@@ -39,30 +39,6 @@ class Sample:
             raise ShapeError(
                 f"image spatial dims {shape[2:]} do not match "
                 f"annotations {self.annotations.spatial_shape}")
-
-
-@dataclass(frozen=True)
-class AugmentSpec:
-    scale_range: tuple = (1.0, 1.0)
-    rotation_angles: tuple = (0.0,)
-    flips: bool = False
-    crop: tuple | None = None
-
-    def __post_init__(self):
-        lo, hi = self.scale_range
-        if not (0 < lo <= hi):
-            raise ContractError(f"scale_range must satisfy 0 < lo <= hi, got {self.scale_range}")
-        if len(self.rotation_angles) == 0:
-            raise ContractError("rotation_angles must list at least one angle")
-        if not all(np.isfinite(a) for a in self.rotation_angles):
-            raise ContractError("rotation angles must be finite")
-        if self.crop is not None:
-            ch, cw = self.crop
-            if ch < 1 or cw < 1:
-                raise ContractError(f"crop dims must be positive, got {self.crop}")
-
-    def output_count(self):
-        return len(self.rotation_angles) * (2 if self.flips else 1)
 
 
 @dataclass(frozen=True)
@@ -276,88 +252,6 @@ def true_outline(sample):
     if sample.true_boundary is not None:
         return sample.true_boundary.copy()
     return sample.annotations.maps[0].copy()
-
-
-# ---------------------------------------------------------------------------
-# augmentation
-
-
-def _forward_affine(angle_deg, sy, sx, flip):
-    th = np.deg2rad(angle_deg)
-    rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    scale = np.array([[sy, 0.0], [0.0, sx]])
-    mirror = np.array([[1.0, 0.0], [0.0, -1.0 if flip else 1.0]])
-    return rot @ scale @ mirror
-
-
-_SUBGRID = np.array([(dy, dx) for dy in (-1 / 3, 0.0, 1 / 3) for dx in (-1 / 3, 0.0, 1 / 3)])
-
-
-def _transform_annotation(mask, matrix, c_src, c_dst, out_shape):
-    pts = np.argwhere(mask > 0).astype(float)
-    if len(pts) == 0:
-        return np.zeros(out_shape)
-    # supersample each positive pixel so the forward map leaves no holes
-    dense = (pts[:, None, :] + _SUBGRID[None, :, :]).reshape(-1, 2)
-    moved = (dense - c_src) @ matrix.T + c_dst
-    return thin_binary(_rasterize(moved, out_shape)).astype(float)
-
-
-def augment(sample, spec, seed):
-    """Expand one sample into len(angles) x (2 if flips) geometric variants."""
-    img = sample.image.data[0, 0]
-    h, w = img.shape
-    variants = [(angle, flipped)
-                for angle in spec.rotation_angles
-                for flipped in ((False, True) if spec.flips else (False,))]
-    out = []
-    for j, (angle, flipped) in enumerate(variants):
-        rng = np.random.default_rng([seed, j])
-        s = float(rng.uniform(spec.scale_range[0], spec.scale_range[1]))
-        out_h, out_w = max(int(round(h * s)), 1), max(int(round(w * s)), 1)
-        sy, sx = out_h / h, out_w / w
-
-        truth = sample.true_boundary
-        pure_flip = (angle % 360 == 0) and out_h == h and out_w == w and sy == 1.0 and sx == 1.0
-        if pure_flip:
-            new_img = np.flip(img, axis=1).copy() if flipped else img.copy()
-            new_maps = [np.flip(m, axis=1).copy() if flipped else m.copy()
-                        for m in sample.annotations.maps]
-            if truth is not None:
-                truth = np.flip(truth, axis=1).copy() if flipped else truth.copy()
-        else:
-            mat = _forward_affine(angle, sy, sx, flipped)
-            c_src = np.array([(h - 1) / 2.0, (w - 1) / 2.0])
-            c_dst = np.array([(out_h - 1) / 2.0, (out_w - 1) / 2.0])
-            inv = np.linalg.inv(mat)
-            offset = c_src - inv @ c_dst
-            new_img = affine_transform(img, inv, offset=offset,
-                                       output_shape=(out_h, out_w),
-                                       order=1, mode="nearest")
-            new_maps = [_transform_annotation(m, mat, c_src, c_dst, (out_h, out_w))
-                        for m in sample.annotations.maps]
-            if truth is not None:
-                truth = _transform_annotation(truth, mat, c_src, c_dst, (out_h, out_w))
-
-        if spec.crop is not None:
-            ch, cw = spec.crop
-            if ch > out_h or cw > out_w:
-                raise ContractError(
-                    f"crop {spec.crop} exceeds transformed size ({out_h}, {out_w})")
-            y0 = int(rng.integers(0, out_h - ch + 1))
-            x0 = int(rng.integers(0, out_w - cw + 1))
-            new_img = new_img[y0:y0 + ch, x0:x0 + cw].copy()
-            new_maps = [m[y0:y0 + ch, x0:x0 + cw].copy() for m in new_maps]
-            if truth is not None:
-                truth = truth[y0:y0 + ch, x0:x0 + cw].copy()
-
-        out.append(Sample(
-            id=f"{sample.id}-a{j:02d}",
-            image=Tensor(np.clip(new_img, 0.0, 1.0)[None, None]),
-            annotations=AnnotationSet(new_maps),
-            true_boundary=truth,
-        ))
-    return out
 
 
 # ---------------------------------------------------------------------------

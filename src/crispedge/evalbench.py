@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -62,19 +61,10 @@ def tolerance_pixels(h: int, w: int, max_dist_fraction: float) -> float:
     """Matching radius in pixels: the stated fraction of the image diagonal."""
     if h < 1 or w < 1:
         raise ContractError(f"image dims must be >= 1, got {h}x{w}")
-    if max_dist_fraction <= 0.0:
-        raise ContractError(f"tolerance fraction must be positive, got {max_dist_fraction}")
+    if not (math.isfinite(max_dist_fraction) and max_dist_fraction > 0.0):
+        raise ContractError(f"tolerance fraction must be positive and finite, "
+                            f"got {max_dist_fraction}")
     return max_dist_fraction * math.sqrt(h * h + w * w)
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    max_dist_fraction: float
-    pixels: float
-
-    @classmethod
-    def for_image(cls, h: int, w: int, max_dist_fraction: float) -> "Tolerance":
-        return cls(max_dist_fraction, tolerance_pixels(h, w, max_dist_fraction))
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +350,10 @@ class EvalReport:
 
 
 def eval_criteria(preds: Sequence, annotations_per_image: Sequence[AnnotationSet],
-                  base_fraction: float, n_thresholds: int = 33, jobs: int = 1) -> EvalReport:
+                  base_fraction: float, n_thresholds: int = 33) -> EvalReport:
     """Score every prediction three ways: standard tolerance with
     post-processing, quarter tolerance with post-processing, and standard
     tolerance on the raw map."""
-    if jobs < 1:
-        raise ContractError(f"jobs must be >= 1, got {jobs}")
     preds = [as_probability_map(p) for p in preds]
     anns = list(annotations_per_image)
     if not preds:
@@ -376,20 +364,13 @@ def eval_criteria(preds: Sequence, annotations_per_image: Sequence[AnnotationSet
         if p.shape != a.spatial_shape:
             raise ShapeError(f"prediction {p.shape} does not match annotations {a.spatial_shape}")
     thresholds = default_thresholds(n_thresholds)
-
-    def score_image(args):
-        p, ann = args
+    per_image = []
+    for p, ann in zip(preds, anns):
         tol = tolerance_pixels(p.shape[0], p.shape[1], base_fraction)
         thin = nms_thin(p)
-        return {"correctness": _counts_at_thresholds(thin, ann, thresholds, tol),
-                "localness": _counts_at_thresholds(thin, ann, thresholds, tol / 4.0),
-                "thickness": _counts_at_thresholds(p, ann, thresholds, tol)}
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_image = list(pool.map(score_image, zip(preds, anns)))
-    else:
-        per_image = [score_image(x) for x in zip(preds, anns)]
+        per_image.append({"correctness": _counts_at_thresholds(thin, ann, thresholds, tol),
+                          "localness": _counts_at_thresholds(thin, ann, thresholds, tol / 4.0),
+                          "thickness": _counts_at_thresholds(p, ann, thresholds, tol)})
 
     out = {}
     for name in ("correctness", "localness", "thickness"):

@@ -108,15 +108,6 @@ def batch_weight_maps(annotation_sets: Sequence[AnnotationSet]) -> ConsensusWeig
     return ConsensusWeightMap.from_array(np.stack([a.maps.mean(axis=0) for a in sets]))
 
 
-def remap_weights(wmap: ConsensusWeightMap, floor: float) -> ConsensusWeightMap:
-    """Affinely squeeze the positive weights from (0, 1] into (floor, 1];
-    zeros stay zero, so the class partition is unchanged."""
-    if not 0.0 <= floor < 1.0:
-        raise ContractError(f"floor must be in [0, 1), got {floor}")
-    w = np.where(wmap.w > 0.0, floor + (1.0 - floor) * wmap.w, 0.0)
-    return ConsensusWeightMap(w=w, beta=wmap.beta, pos_count=wmap.pos_count, neg_count=wmap.neg_count)
-
-
 @dataclass(frozen=True)
 class LossConfig:
     """Shared numeric guards and the fixed balance factor of the adaptive
@@ -237,8 +228,9 @@ def soft_dice(p: Tensor, wmap: ConsensusWeightMap, config: LossConfig = LossConf
 def combined_loss(p: Tensor, wmap: ConsensusWeightMap, kappa_fixed: float, tau_fixed: float,
                   config: LossConfig = LossConfig()) -> Tensor:
     """Fixed-weight fusion of the two soft losses."""
-    if kappa_fixed < 0.0 or tau_fixed < 0.0:
-        raise ContractError(f"fixed fusion weights must be non-negative, got {kappa_fixed}, {tau_fixed}")
+    if not all(math.isfinite(v) and v >= 0.0 for v in (kappa_fixed, tau_fixed)):
+        raise ContractError(f"fixed fusion weights must be finite and non-negative, "
+                            f"got {kappa_fixed}, {tau_fixed}")
     return add(mul(soft_ce(p, wmap, config), kappa_fixed),
                mul(soft_dice(p, wmap, config), tau_fixed))
 

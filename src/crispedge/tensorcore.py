@@ -146,14 +146,13 @@ class Tensor:
 class Parameter(Tensor):
     """Trainable tensor with persistent gradient and momentum velocity."""
 
-    __slots__ = ("velocity", "requires_grad")
+    __slots__ = ("velocity",)
 
-    def __init__(self, values, requires_grad: bool = True):
+    def __init__(self, values):
         super().__init__(values)
         self.data = self.data.copy()  # updates happen in place; never share a buffer
         self.grad = np.zeros_like(self.data)
         self.velocity = np.zeros_like(self.data)
-        self.requires_grad = requires_grad
 
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
@@ -187,15 +186,14 @@ class ComputeGraph:
         return cls(order)
 
 
-def backward(loss: Tensor, graph: ComputeGraph | None = None) -> None:
+def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(node) into ``grad`` for every node below ``loss``.
 
     Calling twice without zeroing gradients accumulates both passes.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a 1-element loss tensor, shape is {loss.shape}")
-    if graph is None:
-        graph = ComputeGraph.trace(loss)
+    graph = ComputeGraph.trace(loss)
     # interior grads are scratch state: clear them so every call contributes
     # exactly one d(loss)/d(leaf) to each leaf
     for node in graph.nodes:
@@ -450,9 +448,6 @@ def sgd_step(params: list[Parameter], config: OptimizerConfig) -> None:
     p <- p - learning_rate * v
     """
     for p in params:
-        if not p.requires_grad:
-            p.zero_grad()
-            continue
         p.velocity[...] = config.momentum * p.velocity + p.grad + config.weight_decay * p.data
         p.data[...] = p.data - config.learning_rate * p.velocity
         p.zero_grad()

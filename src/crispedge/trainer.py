@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import gen_synthetic
 from .errors import ContractError, ShapeError, TrainingError
 from .evalbench import eval_criteria, fmt
 from .losses import (
@@ -201,6 +202,4 @@ def loss_trace_csv(report):
 
 def toy_dataset(count=200, size=(64, 64), annotators=3, jitter_px=1.0, seed=0):
     """The standard synthetic set used by the end-to-end and ablation checks."""
-    from .data import gen_synthetic
-
     return gen_synthetic(count, size, annotators, jitter_px, seed)

@@ -159,18 +159,6 @@ def eval_manifest_from_annotations(tmp_path, n=4):
     return str(mp)
 
 
-def test_eval_jobs_do_not_change_outputs(tmp_path, capsys):
-    manifest = eval_manifest_from_annotations(tmp_path)
-    a, b = str(tmp_path / "j1"), str(tmp_path / "j3")
-    c1, o1, _ = invoke(capsys, "eval", "--manifest", manifest, "--jobs", "1",
-                       "--out-dir", a)
-    c3, o3, _ = invoke(capsys, "eval", "--manifest", manifest, "--jobs", "3",
-                       "--out-dir", b)
-    assert c1 == c3 == 0
-    assert o1 == o3
-    assert read_bytes_map(a) == read_bytes_map(b)
-
-
 def test_eval_rerun_is_idempotent(tmp_path, capsys):
     manifest = eval_manifest_from_annotations(tmp_path, n=2)
     inputs_before = read_bytes_map(os.path.dirname(manifest))
@@ -278,8 +266,10 @@ def exit_case_inputs(tmp_path):
 
 EXIT_CASES = [
     ("eval-pgm-prediction", "eval --manifest {dir}/pgm.tsv --out-dir {dir}/e", 0),
-    ("eval-jobs-zero", "eval --manifest {dir}/crb.tsv --jobs 0 --out-dir {dir}/e", 3),
-    ("eval-jobs-negative", "eval --manifest {dir}/crb.tsv --jobs -3 --out-dir {dir}/e", 3),
+    ("eval-max-dist-fraction-nan",
+     "eval --manifest {dir}/crb.tsv --max-dist-fraction nan --out-dir {dir}/e", 3),
+    ("eval-max-dist-fraction-inf",
+     "eval --manifest {dir}/crb.tsv --max-dist-fraction inf --out-dir {dir}/e", 3),
     ("eval-nan-prediction", "eval --manifest {dir}/nan.tsv --out-dir {dir}/e", 5),
     ("infer-scales-not-numbers",
      "infer --params {dir}/params.crb --image {dir}/image.pgm --scales abc --out {dir}/p.crb", 3),

@@ -5,11 +5,9 @@ import pytest
 from scipy.spatial import cKDTree
 
 from crispedge.data import (
-    AugmentSpec,
     DatasetManifest,
     ManifestEntry,
     Sample,
-    augment,
     gen_synthetic,
     load_dataset,
     load_manifest,
@@ -122,101 +120,6 @@ def test_sample_validation():
         Sample("x", img, AnnotationSet([np.zeros((9, 8))]))
     with pytest.raises(ShapeError):
         Sample("x", Tensor(np.zeros((1, 2, 8, 8))), AnnotationSet([np.zeros((8, 8))]))
-
-
-# ---------------------------------------------------------------------------
-# augmentation
-
-
-def test_augment_identity():
-    s = gen_synthetic(1, (32, 32), 2, 1.0, seed=1)[0]
-    out = augment(s, AugmentSpec(), seed=0)
-    assert len(out) == 1
-    assert np.array_equal(out[0].image.data, s.image.data)
-    assert np.array_equal(out[0].annotations.maps, s.annotations.maps)
-    assert np.array_equal(out[0].true_boundary, s.true_boundary)
-
-
-def test_augment_flip_involution():
-    s = gen_synthetic(1, (32, 32), 2, 1.0, seed=1)[0]
-    spec = AugmentSpec(flips=True)
-    flipped = augment(s, spec, seed=0)[1]
-    assert not np.array_equal(flipped.image.data, s.image.data)
-    twice = augment(flipped, spec, seed=0)[1]
-    assert np.array_equal(twice.image.data, s.image.data)
-    assert np.array_equal(twice.annotations.maps, s.annotations.maps)
-
-
-def test_augment_sixteen_angles_two_flips_make_32():
-    s = gen_synthetic(1, (32, 32), 1, 0.0, seed=4)[0]
-    spec = AugmentSpec(rotation_angles=tuple(np.arange(16) * 22.5), flips=True)
-    out = augment(s, spec, seed=0)
-    assert len(out) == 32
-    assert len({o.id for o in out}) == 32
-
-
-def test_augment_deterministic():
-    s = gen_synthetic(1, (32, 32), 2, 1.0, seed=6)[0]
-    spec = AugmentSpec(scale_range=(0.75, 1.25), rotation_angles=(0.0, 90.0), flips=True)
-    a = augment(s, spec, seed=5)
-    b = augment(s, spec, seed=5)
-    for x, y in zip(a, b):
-        assert np.array_equal(x.image.data, y.image.data)
-        assert np.array_equal(x.annotations.maps, y.annotations.maps)
-
-
-def test_augment_geometric_consistency():
-    # every positive output pixel sits within 1 px of the continuous image of
-    # the positive input region
-    s = gen_synthetic(1, (32, 32), 2, 1.0, seed=5)[0]
-    spec = AugmentSpec(scale_range=(1.2, 1.2), rotation_angles=(30.0,), flips=True)
-    outs = augment(s, spec, seed=9)
-    h, w = 32, 32
-    out_h = out_w = round(32 * 1.2)
-    sy = sx = out_h / h
-    th = np.deg2rad(30.0)
-    rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    offsets = np.array([(dy, dx) for dy in np.linspace(-0.5, 0.5, 5)
-                        for dx in np.linspace(-0.5, 0.5, 5)])
-    c_src = np.array([(h - 1) / 2, (w - 1) / 2])
-    c_dst = np.array([(out_h - 1) / 2, (out_w - 1) / 2])
-    for j, out in enumerate(outs):
-        mirror = np.array([[1.0, 0.0], [0.0, -1.0 if j == 1 else 1.0]])
-        mat = rot @ np.diag([sy, sx]) @ mirror
-        for src, dst in zip(s.annotations.maps, out.annotations.maps):
-            pts = np.argwhere(src > 0).astype(float)
-            dense = (pts[:, None, :] + offsets[None, :, :]).reshape(-1, 2)
-            cloud = (dense - c_src) @ mat.T + c_dst
-            dists, _ = cKDTree(cloud).query(np.argwhere(dst > 0))
-            assert dists.max() <= 1.0
-
-
-def test_augment_rotated_annotations_stay_thin():
-    s = gen_synthetic(1, (32, 32), 2, 0.0, seed=8)[0]
-    out = augment(s, AugmentSpec(rotation_angles=(45.0,)), seed=0)[0]
-    for m in out.annotations.maps:
-        assert no_two_by_two(m)
-        assert m.sum() > 0
-
-
-def test_augment_crop():
-    s = gen_synthetic(1, (32, 32), 1, 0.0, seed=3)[0]
-    out = augment(s, AugmentSpec(crop=(20, 24)), seed=2)
-    assert out[0].image.data.shape == (1, 1, 20, 24)
-    assert out[0].annotations.spatial_shape == (20, 24)
-    with pytest.raises(ContractError):
-        augment(s, AugmentSpec(crop=(33, 10)), seed=2)
-
-
-def test_augment_spec_validation():
-    with pytest.raises(ContractError):
-        AugmentSpec(scale_range=(0.0, 1.0))
-    with pytest.raises(ContractError):
-        AugmentSpec(scale_range=(1.5, 1.0))
-    with pytest.raises(ContractError):
-        AugmentSpec(rotation_angles=())
-    with pytest.raises(ContractError):
-        AugmentSpec(crop=(0, 5))
 
 
 # ---------------------------------------------------------------------------

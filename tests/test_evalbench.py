@@ -6,7 +6,6 @@ from crispedge.errors import ContractError, DomainError, ShapeError
 from crispedge.evalbench import (
     _counts_at_thresholds,
     MatchCounts,
-    Tolerance,
     average_precision,
     default_thresholds,
     eval_criteria,
@@ -58,12 +57,6 @@ def test_tolerance_validation():
         tolerance_pixels(0, 10, 0.01)
     with pytest.raises(ContractError):
         tolerance_pixels(10, 10, 0.0)
-
-
-def test_tolerance_dataclass():
-    t = Tolerance.for_image(481, 321, 0.0075)
-    assert t.pixels == tolerance_pixels(481, 321, 0.0075)
-    assert t.max_dist_fraction == 0.0075
 
 
 # ---------------------------------------------------------------------------
@@ -463,29 +456,12 @@ def test_eval_criteria_localness_never_exceeds_correctness():
         assert report.localness.scores.ods <= report.correctness.scores.ods + 1e-12
 
 
-def test_eval_criteria_parallel_matches_serial():
-    rng = np.random.default_rng(5)
-    preds, anns = [], []
-    for _ in range(6):
-        p = gaussian_filter(rng.random((16, 16)), 1.0)
-        preds.append((p - p.min()) / (p.max() - p.min()))
-        anns.append(AnnotationSet([(rng.random((16, 16)) > 0.8).astype(float)]))
-    r1 = eval_criteria(preds, anns, 0.05, n_thresholds=9, jobs=1)
-    r4 = eval_criteria(preds, anns, 0.05, n_thresholds=9, jobs=4)
-    for a, b in zip(r1.results(), r4.results()):
-        assert a.scores == b.scores
-        assert a.curve == b.curve
-
-
 def test_eval_criteria_validation():
     with pytest.raises(ContractError):
         eval_criteria([], [], 0.05)
     m = ring_mask()
     with pytest.raises(ShapeError):
         eval_criteria([m.astype(float)], [AnnotationSet([np.zeros((5, 5))])], 0.05)
-    for jobs in (0, -3):
-        with pytest.raises(ContractError):
-            eval_criteria([m.astype(float)], [AnnotationSet([m])], 0.05, jobs=jobs)
 
 
 # ---------------------------------------------------------------------------

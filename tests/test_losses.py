@@ -13,7 +13,6 @@ from crispedge.losses import (
     batch_weight_maps,
     combined_loss,
     dice,
-    remap_weights,
     soft_ce,
     soft_dice,
     weight_map,
@@ -105,28 +104,6 @@ def test_batch_weight_maps_global_counts():
     assert wm.pos_count == 1
     assert wm.neg_count == 17
     assert wm.beta == pytest.approx(17 / 18)
-
-
-# ---------------------------------------------------------------------------
-# remap
-
-
-def test_remap_endpoints_and_affine():
-    w = np.array([[1.0, 0.0], [0.2, 0.6]])
-    wm = remap_weights(ConsensusWeightMap.from_array(w), 0.5)
-    assert wm.w[0, 0, 0, 0] == 1.0
-    assert wm.w[0, 0, 0, 1] == 0.0
-    assert wm.w[0, 0, 1, 0] == pytest.approx(0.6)
-    assert wm.w[0, 0, 1, 1] == pytest.approx(0.8)
-    assert wm.pos_count == 3 and wm.neg_count == 1
-
-
-def test_remap_floor_validation():
-    wm = ConsensusWeightMap.from_array(np.zeros((2, 2)))
-    with pytest.raises(ContractError):
-        remap_weights(wm, 1.0)
-    with pytest.raises(ContractError):
-        remap_weights(wm, -0.1)
 
 
 # ---------------------------------------------------------------------------

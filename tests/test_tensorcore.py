@@ -3,7 +3,6 @@ import pytest
 
 from crispedge.errors import ContractError, DomainError, ShapeError
 from crispedge.tensorcore import (
-    ComputeGraph,
     OptimizerConfig,
     Parameter,
     Tensor,
@@ -279,13 +278,6 @@ def test_backward_accumulates_without_reset():
     assert np.allclose(x.grad, 2 * first)
 
 
-def test_backward_accepts_explicit_graph():
-    x = Tensor.scalar(3.0)
-    loss = square(x)
-    backward(loss, ComputeGraph.trace(loss))
-    assert x.grad.reshape(()) == 6.0
-
-
 def test_diamond_graph_gradient():
     # y = x*x + x*x reuses the same node twice; grad must be 4x
     x = Tensor.scalar(1.5)
@@ -363,14 +355,6 @@ def test_sgd_trajectory_matches_scalar_recurrence():
         seen.append(p.data.reshape(()).item())
     want = sgd_scalar(2.0, grads, lr, mom, wd)
     assert np.allclose(seen, want, rtol=0, atol=1e-15)
-
-
-def test_sgd_skips_frozen_parameters():
-    p = Parameter(np.full((1, 1, 1, 1), 1.0), requires_grad=False)
-    p.grad[...] = 5.0
-    sgd_step([p], OptimizerConfig())
-    assert p.data.reshape(()) == 1.0
-    assert p.grad.reshape(()) == 0.0
 
 
 def test_optimizer_config_invariants():

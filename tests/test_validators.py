@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from crispedge.data import gen_synthetic
 from crispedge.errors import ContractError, DomainError
-from crispedge.losses import AdaptiveLossState, ConsensusWeightMap, LossConfig
-from crispedge.tensorcore import OptimizerConfig
+from crispedge.evalbench import as_probability_map, tolerance_pixels
+from crispedge.losses import AdaptiveLossState, ConsensusWeightMap, LossConfig, combined_loss
+from crispedge.network import ScaleSet
+from crispedge.tensorcore import OptimizerConfig, Tensor
 from crispedge.trainer import TrainConfig
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -39,6 +41,18 @@ def weight_map_with(value):
     return ConsensusWeightMap.from_array(arr)
 
 
+def probability_map_with(value):
+    arr = np.full((3, 4), 0.5)
+    arr[2, 1] = value
+    return as_probability_map(arr)
+
+
+def combined_loss_with(kappa, tau):
+    w = np.zeros((4, 4))
+    w[1, :] = 1.0
+    return combined_loss(Tensor(np.full((4, 4), 0.5)), ConsensusWeightMap.from_array(w), kappa, tau)
+
+
 # name: (build from one bad value, strategy of bad values, documented error)
 CASES = {
     "opt.learning_rate": (lambda v: OptimizerConfig(learning_rate=v), at_most(0.0), ContractError),
@@ -59,6 +73,11 @@ CASES = {
     "awl.tau": (lambda v: AdaptiveLossState(tau=v), at_most(0.0), ContractError),
     "weights": (weight_map_with, below(0.0) | above(1.0), DomainError),
     "gen.jitter_px": (lambda v: gen_synthetic(1, (32, 32), 1, v, seed=0), below(0.0), ContractError),
+    "infer.scales": (lambda v: ScaleSet((1.0, v)), at_most(0.0), ContractError),
+    "probability": (probability_map_with, below(0.0) | above(1.0), DomainError),
+    "eval.max_dist_fraction": (lambda v: tolerance_pixels(32, 48, v), at_most(0.0), ContractError),
+    "combined.kappa": (lambda v: combined_loss_with(v, 1.0), below(0.0), ContractError),
+    "combined.tau": (lambda v: combined_loss_with(1.0, v), below(0.0), ContractError),
 }
 
 
