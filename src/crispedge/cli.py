@@ -40,31 +40,16 @@ from .evalbench import (
     score_block,
     tolerance_pixels,
 )
-from .losses import (
-    AdaptiveLossState,
-    AnnotationSet,
-    LossConfig,
-    adaptive_loss,
-    batch_weight_maps,
-)
+from .gradcheck import FD_LIMIT, audit, worst_of
+from .losses import AnnotationSet, LossConfig
 from .network import (
     ScaleSet,
-    NetworkTopology,
-    RefineBlockSpec,
-    StageSpec,
     build_refine_net,
     default_topology,
     predict,
     predict_multiscale,
 )
-from .tensorcore import (
-    OptimizerConfig,
-    Tensor,
-    backward,
-    bilinear_resize,
-    conv2d,
-)
-from . import tensorcore as tc
+from .tensorcore import OptimizerConfig
 from .trainer import (
     TrainConfig,
     ablation_csv,
@@ -299,8 +284,6 @@ def _cmd_eval(cfg, args):
     fraction = cfg.get_float("eval.max_dist_fraction")
     report = eval_criteria(preds, anns, fraction,
                            n_thresholds=cfg.get_int("eval.n_thresholds"))
-    h, w = preds[0].shape
-    d0 = tolerance_pixels(h, w, fraction)
     os.makedirs(args.out_dir, exist_ok=True)
     block = score_block(report)
     with open(os.path.join(args.out_dir, "scores.txt"), "w", encoding="ascii") as fh:
@@ -309,7 +292,10 @@ def _cmd_eval(cfg, args):
         name = os.path.join(args.out_dir, f"pr_{res.scores.criterion}.csv")
         with open(name, "w", encoding="ascii") as fh:
             fh.write(pr_curve_csv(res.curve))
-    print(f"d0 = {d0:.2f} px")
+    sizes = list(dict.fromkeys(p.shape for p in preds))
+    for h, w in sizes:
+        tag = f" ({h}x{w})" if len(sizes) > 1 else ""
+        print(f"d0 = {tolerance_pixels(h, w, fraction):.2f} px{tag}")
     sys.stdout.write(block)
     return 0
 
@@ -327,141 +313,15 @@ def _cmd_ablate(cfg, args):
     return 0
 
 
-# ---------------------------------------------------------------------------
-# gradcheck
-
-_FD_STEP = 1e-5
-_FD_LIMIT = 1e-4
-
-
-def _numeric_grad(f, arr):
-    grad = np.zeros_like(arr)
-    flat = arr.ravel()
-    g = grad.ravel()
-    for i in range(flat.size):
-        keep = flat[i]
-        flat[i] = keep + _FD_STEP
-        up = f()
-        flat[i] = keep - _FD_STEP
-        down = f()
-        flat[i] = keep
-        g[i] = (up - down) / (2 * _FD_STEP)
-    return grad
-
-
-def _rel_err(analytic, numeric):
-    scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
-    return float(np.max(np.abs(analytic - numeric) / scale))
-
-
-def _away_from_kinks(x, pad=0.05):
-    return np.where(np.abs(x) < pad, x + 2 * pad, x)
-
-
-def _gradcheck_cases(seed):
-    cases = []
-
-    def op_case(name, make_inputs, forward):
-        def runner(k):
-            rng = np.random.default_rng([seed, k])
-            tensors = make_inputs(rng)
-            loss = forward(*tensors)
-            backward(loss)
-            worst = 0.0
-            for t in tensors:
-                analytic = t.grad.copy()
-
-                def f(t=t):
-                    return forward(*tensors).item()
-
-                worst = max(worst, _rel_err(analytic, _numeric_grad(f, t.data)))
-            return worst
-        cases.append((name, runner))
-
-    sizes = (1, 2, 5, 4)
-
-    op_case("add", lambda rng: (Tensor(rng.standard_normal(sizes)),
-                                Tensor(rng.standard_normal(sizes))),
-            lambda a, b: tc.global_sum(tc.square(tc.add(a, b))))
-    op_case("mul", lambda rng: (Tensor(rng.standard_normal(sizes)),
-                                Tensor(rng.standard_normal(sizes))),
-            lambda a, b: tc.global_sum(tc.mul(a, b)))
-    op_case("relu", lambda rng: (Tensor(_away_from_kinks(rng.standard_normal(sizes))),),
-            lambda a: tc.global_sum(tc.square(tc.relu(a))))
-    op_case("sigmoid", lambda rng: (Tensor(rng.standard_normal(sizes)),),
-            lambda a: tc.global_sum(tc.square(tc.sigmoid(a))))
-    op_case("exp", lambda rng: (Tensor(rng.standard_normal(sizes)),),
-            lambda a: tc.global_sum(tc.exp(a)))
-    op_case("log", lambda rng: (Tensor(rng.uniform(0.2, 2.0, sizes)),),
-            lambda a: tc.global_sum(tc.square(tc.log(a))))
-    op_case("square", lambda rng: (Tensor(rng.standard_normal(sizes)),),
-            lambda a: tc.global_sum(tc.square(a)))
-    op_case("reciprocal", lambda rng: (Tensor(rng.uniform(0.5, 2.0, sizes)),),
-            lambda a: tc.global_sum(tc.reciprocal(a)))
-    op_case("clip", lambda rng: (Tensor(_away_from_kinks(rng.uniform(-1, 2, sizes) - 0.5) + 0.5),),
-            lambda a: tc.global_sum(tc.square(tc.clip(a, 0.0, 1.0))))
-    op_case("conv2d", lambda rng: (Tensor(rng.standard_normal((1, 2, 6, 6))),
-                                   Tensor(rng.standard_normal((3, 2, 3, 3)))),
-            lambda x, k: tc.global_sum(tc.square(conv2d(x, k, stride=1, padding=1))))
-    op_case("bilinear_resize", lambda rng: (Tensor(rng.standard_normal((1, 2, 5, 5))),),
-            lambda x: tc.global_sum(tc.square(bilinear_resize(x, 8, 7))))
-
-    return cases
-
-
-def _composite_case(seed):
-    topo = NetworkTopology(
-        in_channels=1,
-        encoder_stages=(StageSpec(4, 1), StageSpec(8, 2)),
-        refine_levels=((RefineBlockSpec("r0", (("enc1", 1), ("enc2", 2)), "adjacent", 4),),),
-    )
-    net = build_refine_net(topo, seed=seed)
-    rng = np.random.default_rng([seed, 99])
-    image = Tensor(rng.random((1, 1, 12, 12)))
-    ann = (rng.random((12, 12)) > 0.8).astype(float)
-    ann[5, 2:10] = 1.0
-    wmap = batch_weight_maps([AnnotationSet([ann])])
-    awl = AdaptiveLossState()
-    params = net.params() + awl.params()
-
-    def forward():
-        return adaptive_loss(net.forward(image), wmap, awl)
-
-    loss = forward()
-    backward(loss)
-    worst = 0.0
-    coord_rng = np.random.default_rng([seed, 100])
-    for p in params:
-        analytic = p.grad.copy()
-        flat = p.data.ravel()
-        gflat = analytic.ravel()
-        idxs = coord_rng.choice(flat.size, size=min(2, flat.size), replace=False)
-        for i in idxs:
-            keep = flat[i]
-            flat[i] = keep + _FD_STEP
-            up = forward().item()
-            flat[i] = keep - _FD_STEP
-            down = forward().item()
-            flat[i] = keep
-            numeric = (up - down) / (2 * _FD_STEP)
-            scale = max(abs(gflat[i]), abs(numeric), 1e-6)
-            worst = max(worst, abs(gflat[i] - numeric) / scale)
-    return worst
-
-
 def _cmd_gradcheck(cfg, args):
-    worst_overall = 0.0
-    for name, runner in _gradcheck_cases(args.seed):
-        worst = max(runner(k) for k in range(3))
-        worst_overall = max(worst_overall, worst)
+    rows = audit(args.seed)
+    for name, worst in rows:
         print(f"{name} {fmt(worst)}")
-    comp = _composite_case(args.seed)
-    worst_overall = max(worst_overall, comp)
-    print(f"composite {fmt(comp)}")
-    print(f"worst {fmt(worst_overall)}")
-    if worst_overall > _FD_LIMIT:
-        print(f"crispedge: gradcheck: max relative error {fmt(worst_overall)} "
-              f"exceeds {_FD_LIMIT}", file=sys.stderr)
+    worst = worst_of(w for _, w in rows)
+    print(f"worst {fmt(worst)}")
+    if not worst <= FD_LIMIT:
+        print(f"crispedge: gradcheck: max relative error {fmt(worst)} "
+              f"exceeds {FD_LIMIT}", file=sys.stderr)
         return 5
     return 0
 

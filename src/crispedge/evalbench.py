@@ -269,17 +269,6 @@ class BenchmarkScores:
     criterion: str
 
 
-def _aggregate_prf(per_image: Sequence[MatchCounts]) -> tuple[float, float, float]:
-    md = sum(c.matched_detected for c in per_image)
-    td = sum(c.total_detected for c in per_image)
-    mg = sum(c.matched_gt for c in per_image)
-    tg = sum(c.total_gt for c in per_image)
-    p = md / td if td else 1.0
-    r = mg / tg if tg else 1.0
-    f = 2.0 * p * r / (p + r) if p + r > 0.0 else 0.0
-    return p, r, f
-
-
 def average_precision(points: Sequence[tuple[float, float]]) -> float:
     """Area under the precision envelope over recall.
 
@@ -320,8 +309,11 @@ def summarize(all_counts: Sequence[Sequence[MatchCounts]],
 
     curve = []
     for k, t in enumerate(grid):
-        p, r, f = _aggregate_prf([rows[k] for rows in images])
-        curve.append((t, p, r, f))
+        at_t = [rows[k] for rows in images]
+        pooled = MatchCounts(t, sum(c.matched_detected for c in at_t),
+                             sum(c.total_detected for c in at_t),
+                             sum(c.matched_gt for c in at_t), sum(c.total_gt for c in at_t))
+        curve.append((t, pooled.precision, pooled.recall, pooled.f_measure))
     curve.sort(key=lambda row: row[0])
     ods = max(row[3] for row in curve)
     ois = sum(max(c.f_measure for c in rows) for rows in images) / len(images)

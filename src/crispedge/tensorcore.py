@@ -88,59 +88,8 @@ class Tensor:
     def scalar(cls, value: float) -> "Tensor":
         return cls(np.full((1, 1, 1, 1), float(value)))
 
-    @classmethod
-    def zeros(cls, shape: Shape) -> "Tensor":
-        return cls(np.zeros(shape))
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
-
-    # arithmetic -----------------------------------------------------------
-
-    def __add__(self, other) -> "Tensor":
-        return add(self, other)
-
-    def __radd__(self, other) -> "Tensor":
-        return add(self, other)
-
-    def __mul__(self, other) -> "Tensor":
-        return mul(self, other)
-
-    def __rmul__(self, other) -> "Tensor":
-        return mul(self, other)
-
-    def __neg__(self) -> "Tensor":
-        return mul(self, -1.0)
-
-    def __sub__(self, other) -> "Tensor":
-        return add(self, mul(other, -1.0) if isinstance(other, Tensor) else -np.asarray(other))
-
-    def relu(self) -> "Tensor":
-        return relu(self)
-
-    def sigmoid(self) -> "Tensor":
-        return sigmoid(self)
-
-    def exp(self) -> "Tensor":
-        return exp(self)
-
-    def log(self) -> "Tensor":
-        return log(self)
-
-    def square(self) -> "Tensor":
-        return square(self)
-
-    def reciprocal(self) -> "Tensor":
-        return reciprocal(self)
-
-    def clip(self, lo: float, hi: float) -> "Tensor":
-        return clip(self, lo, hi)
-
-    def sum(self) -> "Tensor":
-        return global_sum(self)
-
-    def backward(self) -> None:
-        backward(self)
 
 
 class Parameter(Tensor):

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from crispedge import tensorcore as tc
 from crispedge.cli import run
 from crispedge.data import (
     gen_synthetic,
@@ -138,6 +139,23 @@ def test_eval_d0_line_matches_standard_geometry(tmp_path, capsys):
         assert os.path.exists(str(tmp_path / "e" / name))
     csv = open(str(tmp_path / "e" / "pr_correctness.csv")).read()
     assert csv.startswith("threshold,precision,recall,f\n")
+
+
+def test_eval_d0_line_per_size_when_sizes_differ(tmp_path, capsys):
+    lines = []
+    for i, (h, w) in enumerate([(481, 321), (64, 64), (481, 321)]):
+        write_crb(str(tmp_path / f"p{i}.crb"), np.zeros((h, w)))
+        m = np.zeros((h, w))
+        m[h // 2, 5:w - 5] = 1.0
+        write_annotation(str(tmp_path / f"a{i}.pgm"), m)
+        lines.append(f"x{i}\tp{i}.crb\ta{i}.pgm\ttest\n")
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text("".join(lines))
+    code, out, err = invoke(capsys, "eval", "--manifest", str(manifest),
+                            "--max-dist-fraction", "0.0075",
+                            "--out-dir", str(tmp_path / "e"))
+    assert code == 0, err
+    assert out.startswith("d0 = 4.34 px (481x321)\nd0 = 0.68 px (64x64)\nods_c=")
 
 
 def eval_manifest_from_annotations(tmp_path, n=4):
@@ -310,6 +328,20 @@ def test_gradcheck_deterministic_and_passing(capsys):
     lines = o1.strip().split("\n")
     assert any(l.startswith("conv2d ") for l in lines)
     assert lines[-1].startswith("worst ")
+
+
+def test_gradcheck_fails_on_nan_gradient(capsys, monkeypatch):
+    plain_exp = tc.exp
+
+    def nan_grad_exp(x):
+        return tc.Tensor(plain_exp(x).data, (x,), lambda g: tc._accumulate(x, g * np.nan))
+
+    monkeypatch.setattr(tc, "exp", nan_grad_exp)
+    code, out, err = invoke(capsys, "gradcheck", "--seed", "0")
+    assert code == 5
+    assert "\nexp nan\n" in out
+    assert out.endswith("\nworst nan\n")
+    assert err == "crispedge: gradcheck: max relative error nan exceeds 0.0001\n"
 
 
 def test_ablate_writes_mode_rows(tmp_path, capsys):

@@ -16,7 +16,6 @@ from crispedge.data import (
     read_pgm,
     read_raster,
     save_dataset,
-    save_manifest,
     true_outline,
     write_annotation,
     write_crb,

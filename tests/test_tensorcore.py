@@ -1,6 +1,9 @@
+import inspect
+
 import numpy as np
 import pytest
 
+from crispedge import tensorcore
 from crispedge.errors import ContractError, DomainError, ShapeError
 from crispedge.tensorcore import (
     OptimizerConfig,
@@ -23,9 +26,10 @@ from crispedge.tensorcore import (
     sigmoid,
     square,
 )
+from crispedge.gradcheck import OP_CASES
 from crispedge.network import default_topology
 
-from oracles import FD_STEP, bilinear_scalar, conv2d_loops, fd_gradient, rel_err
+from oracles import bilinear_scalar, conv2d_loops, fd_gradient, rel_err
 
 
 # ---------------------------------------------------------------------------
@@ -411,3 +415,12 @@ def test_no_grad_results_are_leaves_and_recording_resumes():
         assert relu(x)._grad_fn is None
     after = relu(x)
     assert after._parents == (x,) and after._grad_fn is not None
+
+
+def test_every_tensor_op_has_a_gradcheck_row():
+    # global_sum needs no row: every row's loss ends in it
+    covered = {name for name, _, _ in OP_CASES} | {"global_sum"}
+    ops = {name for name, f in inspect.getmembers(tensorcore, inspect.isfunction)
+           if not name.startswith("_") and f.__module__ == tensorcore.__name__
+           and inspect.signature(f).return_annotation in ("Tensor", Tensor)}
+    assert ops == covered
