@@ -2,36 +2,15 @@
 """Check a few analytic gradients against central finite differences.
 
 The same audit runs over every op and a full network composite via
-``crispedge gradcheck``; this script shows the technique on two cases
-small enough to read.
+``crispedge gradcheck``; this script applies its central differences
+(``numeric_grad``, ``rel_err``) to two cases small enough to read.
 """
 
 import numpy as np
 
 from crispedge import AnnotationSet, Tensor, backward, batch_weight_maps, soft_ce
+from crispedge.gradcheck import numeric_grad, rel_err
 from crispedge.tensorcore import conv2d, global_sum, square
-
-STEP = 1e-5
-
-
-def numeric_grad(f, arr):
-    flat = arr.reshape(-1)
-    out = np.zeros_like(flat)
-    for i in range(flat.size):
-        keep = flat[i]
-        flat[i] = keep + STEP
-        hi = f()
-        flat[i] = keep - STEP
-        lo = f()
-        flat[i] = keep
-        out[i] = (hi - lo) / (2 * STEP)
-    return out.reshape(arr.shape)
-
-
-def worst_rel(analytic, numeric):
-    scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
-    return float(np.max(np.abs(analytic - numeric) / scale))
-
 
 rng = np.random.default_rng(3)
 
@@ -46,8 +25,8 @@ def conv_loss():
 
 loss = global_sum(square(conv2d(x, k, stride=2, padding=1)))
 backward(loss)
-print(f"conv2d input grad  rel err: {worst_rel(x.grad, numeric_grad(conv_loss, x.data)):.3g}")
-print(f"conv2d kernel grad rel err: {worst_rel(k.grad, numeric_grad(conv_loss, k.data)):.3g}")
+print(f"conv2d input grad  rel err: {rel_err(x.grad, numeric_grad(conv_loss, x.data)):.3g}")
+print(f"conv2d kernel grad rel err: {rel_err(k.grad, numeric_grad(conv_loss, k.data)):.3g}")
 
 # case 2: the consensus cross-entropy through a sigmoid-free probability map
 ann = (rng.random((6, 6)) > 0.7).astype(float)
@@ -61,7 +40,7 @@ def ce_loss():
 
 
 backward(soft_ce(p, wmap))
-print(f"soft_ce grad       rel err: {worst_rel(p.grad, numeric_grad(ce_loss, p.data)):.3g}")
+print(f"soft_ce grad       rel err: {rel_err(p.grad, numeric_grad(ce_loss, p.data)):.3g}")
 
 print()
 print("all three should sit around 1e-9, far inside the 1e-4 audit limit")

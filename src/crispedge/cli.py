@@ -17,6 +17,7 @@ from .data import (
     load_dataset,
     load_manifest,
     read_annotation,
+    read_ascii_lines,
     read_crb,
     read_image,
     read_raster,
@@ -34,6 +35,7 @@ from .errors import (
     ValidationError,
 )
 from .evalbench import (
+    as_probability_map,
     eval_criteria,
     fmt,
     pr_curve_csv,
@@ -86,6 +88,10 @@ DEFAULTS = {
 }
 
 
+# what a config value of each kind must look like, alone and in a list
+_WANTS = {int: ("an integer", "integers"), float: ("a number", "numbers")}
+
+
 class CliConfig:
     """Defaults overlaid by a `key = value` file, overlaid by flags."""
 
@@ -97,18 +103,14 @@ class CliConfig:
         values = dict(DEFAULTS)
         if config_path is not None:
             values.update(cls._parse_file(config_path))
-        for key, val in overrides.items():
-            if key not in DEFAULTS:
-                raise ConfigError(f"unknown config key '{key}'")
-            values[key] = str(val)
+        values.update((key, str(val)) for key, val in overrides.items())
         return cls(values)
 
     @staticmethod
     def _parse_file(path):
         try:
-            with open(path, "r", encoding="ascii") as fh:
-                lines = fh.readlines()
-        except OSError as exc:
+            lines = read_ascii_lines(path)
+        except (OSError, ParseError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         out = {}
         for lineno, line in enumerate(lines, start=1):
@@ -127,41 +129,21 @@ class CliConfig:
     def show(self):
         return "\n".join(f"{k} = {self.values[k]}" for k in sorted(self.values))
 
-    def get_str(self, key):
-        return self.values[key]
-
-    def get_int(self, key):
+    def get(self, key, kind=str):
         try:
-            return int(self.values[key])
+            return kind(self.values[key])
         except ValueError as exc:
-            raise ConfigError(f"config key '{key}' wants an integer, "
+            raise ConfigError(f"config key '{key}' wants {_WANTS[kind][0]}, "
                               f"got '{self.values[key]}'") from exc
 
-    def get_float(self, key):
-        try:
-            return float(self.values[key])
-        except ValueError as exc:
-            raise ConfigError(f"config key '{key}' wants a number, "
-                              f"got '{self.values[key]}'") from exc
-
-    def get_int_list(self, key):
+    def get_list(self, key, kind):
         raw = self.values[key].strip()
         if not raw:
             return ()
         try:
-            return tuple(int(p) for p in raw.split(","))
+            return tuple(kind(p) for p in raw.split(","))
         except ValueError as exc:
-            raise ConfigError(f"config key '{key}' wants comma-separated integers, "
-                              f"got '{raw}'") from exc
-
-    def get_float_list(self, key):
-        raw = self.values[key].strip()
-        if not raw:
-            return ()
-        try:
-            return tuple(float(p) for p in raw.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"config key '{key}' wants comma-separated numbers, "
+            raise ConfigError(f"config key '{key}' wants comma-separated {_WANTS[kind][1]}, "
                               f"got '{raw}'") from exc
 
 
@@ -186,27 +168,27 @@ def _load_params_into(net, path):
 
 def _train_config(cfg, seed):
     opt = OptimizerConfig(
-        learning_rate=cfg.get_float("opt.learning_rate"),
-        momentum=cfg.get_float("opt.momentum"),
-        weight_decay=cfg.get_float("opt.weight_decay"),
-        lr_decay=cfg.get_float("opt.lr_decay"),
+        learning_rate=cfg.get("opt.learning_rate", float),
+        momentum=cfg.get("opt.momentum", float),
+        weight_decay=cfg.get("opt.weight_decay", float),
+        lr_decay=cfg.get("opt.lr_decay", float),
     )
     loss_cfg = LossConfig(
-        epsilon=cfg.get_float("loss.epsilon"),
-        zeta=cfg.get_float("loss.zeta"),
-        clamp=cfg.get_float("loss.clamp"),
+        epsilon=cfg.get("loss.epsilon", float),
+        zeta=cfg.get("loss.zeta", float),
+        clamp=cfg.get("loss.clamp", float),
     )
     return TrainConfig(
-        batch_size=cfg.get_int("train.batch_size"),
-        epochs=cfg.get_int("train.epochs"),
-        loss_mode=cfg.get_str("train.loss_mode"),
-        manual_kappa=cfg.get_float("train.manual_kappa"),
-        manual_tau=cfg.get_float("train.manual_tau"),
+        batch_size=cfg.get("train.batch_size", int),
+        epochs=cfg.get("train.epochs", int),
+        loss_mode=cfg.get("train.loss_mode"),
+        manual_kappa=cfg.get("train.manual_kappa", float),
+        manual_tau=cfg.get("train.manual_tau", float),
         optimizer=opt,
-        lr_decay_epochs=cfg.get_int_list("train.lr_decay_epochs"),
+        lr_decay_epochs=cfg.get_list("train.lr_decay_epochs", int),
         seed=seed,
-        holdout_fraction=cfg.get_float("train.holdout_fraction"),
-        eval_fraction=cfg.get_float("train.eval_fraction"),
+        holdout_fraction=cfg.get("train.holdout_fraction", float),
+        eval_fraction=cfg.get("train.eval_fraction", float),
         loss_config=loss_cfg,
     )
 
@@ -217,13 +199,13 @@ def _train_config(cfg, seed):
 
 def _cmd_gen(cfg, args):
     samples = gen_synthetic(
-        cfg.get_int("gen.count"),
-        (cfg.get_int("gen.height"), cfg.get_int("gen.width")),
-        cfg.get_int("gen.annotators"),
-        cfg.get_float("gen.jitter_px"),
+        cfg.get("gen.count", int),
+        (cfg.get("gen.height", int), cfg.get("gen.width", int)),
+        cfg.get("gen.annotators", int),
+        cfg.get("gen.jitter_px", float),
         seed=args.seed,
     )
-    held = holdout_split([s.id for s in samples], cfg.get_float("train.holdout_fraction"))
+    held = holdout_split([s.id for s in samples], cfg.get("train.holdout_fraction", float))
     splits = {s.id: ("test" if s.id in held else "train") for s in samples}
     manifest_path = save_dataset(samples, args.out_dir, splits=splits)
     print(f"wrote {len(samples)} samples to {manifest_path}")
@@ -252,13 +234,13 @@ def _cmd_infer(cfg, args):
     net = build_refine_net(default_topology(), seed=0)
     _load_params_into(net, args.params)
     image = read_raster(args.image)
-    scales = cfg.get_float_list("infer.scales")
+    scales = cfg.get_list("infer.scales", float)
     if scales:
         pred = predict_multiscale(net, image, ScaleSet(scales))
     else:
         pred = predict(net, image)
     out = args.out or (os.path.splitext(args.image)[0] + "-pred.crb")
-    write_crb(out, pred)
+    write_crb(out, as_probability_map(pred))
     print(f"wrote {out}")
     return 0
 
@@ -281,9 +263,9 @@ def _cmd_eval(cfg, args):
         preds.append(_read_prediction(entry.image_path))
         maps = [read_annotation(p) for p in entry.ann_paths]
         anns.append(AnnotationSet(maps))
-    fraction = cfg.get_float("eval.max_dist_fraction")
+    fraction = cfg.get("eval.max_dist_fraction", float)
     report = eval_criteria(preds, anns, fraction,
-                           n_thresholds=cfg.get_int("eval.n_thresholds"))
+                           n_thresholds=cfg.get("eval.n_thresholds", int))
     os.makedirs(args.out_dir, exist_ok=True)
     block = score_block(report)
     with open(os.path.join(args.out_dir, "scores.txt"), "w", encoding="ascii") as fh:
@@ -341,36 +323,41 @@ def build_parser():
         sp.add_argument("--show-config", action="store_true",
                         help="print the effective configuration and exit")
 
+    def setting(sp, flag, key, **kw):
+        # the parsed value lands under its config key; run() reads it from there
+        sp.add_argument(flag, dest=key, metavar=flag[2:].upper().replace("-", "_"), **kw)
+
     sp = subs.add_parser("gen", help="generate a synthetic dataset")
     common(sp)
-    sp.add_argument("--count", type=int)
-    sp.add_argument("--height", type=int)
-    sp.add_argument("--width", type=int)
-    sp.add_argument("--annotators", type=int)
-    sp.add_argument("--jitter", type=float)
+    setting(sp, "--count", "gen.count", type=int)
+    setting(sp, "--height", "gen.height", type=int)
+    setting(sp, "--width", "gen.width", type=int)
+    setting(sp, "--annotators", "gen.annotators", type=int)
+    setting(sp, "--jitter", "gen.jitter_px", type=float)
     sp.add_argument("--out-dir", default="dataset")
 
     sp = subs.add_parser("train", help="train the refinement network")
     common(sp)
     sp.add_argument("--manifest", required=True)
-    sp.add_argument("--epochs", type=int)
-    sp.add_argument("--batch-size", type=int)
-    sp.add_argument("--loss-mode")
-    sp.add_argument("--learning-rate", type=float)
+    setting(sp, "--epochs", "train.epochs", type=int)
+    setting(sp, "--batch-size", "train.batch_size", type=int)
+    setting(sp, "--loss-mode", "train.loss_mode")
+    setting(sp, "--learning-rate", "opt.learning_rate", type=float)
     sp.add_argument("--out-dir", default="train-out")
 
     sp = subs.add_parser("infer", help="run the network on one image")
     common(sp)
     sp.add_argument("--params", required=True)
     sp.add_argument("--image", required=True)
-    sp.add_argument("--scales", help="comma-separated scale factors, e.g. 0.5,1,2")
+    setting(sp, "--scales", "infer.scales",
+            help="comma-separated scale factors, e.g. 0.5,1,2")
     sp.add_argument("--out")
 
     sp = subs.add_parser("eval", help="benchmark predictions against annotations")
     common(sp)
     sp.add_argument("--manifest", required=True)
-    sp.add_argument("--max-dist-fraction", type=float)
-    sp.add_argument("--n-thresholds", type=int)
+    setting(sp, "--max-dist-fraction", "eval.max_dist_fraction", type=float)
+    setting(sp, "--n-thresholds", "eval.n_thresholds", type=int)
     sp.add_argument("--out-dir", default="eval-out")
 
     sp = subs.add_parser("gradcheck", help="finite-difference gradient audit")
@@ -380,26 +367,11 @@ def build_parser():
     common(sp)
     sp.add_argument("--manifest", required=True)
     sp.add_argument("--modes", help="comma-separated loss modes")
-    sp.add_argument("--epochs", type=int)
+    setting(sp, "--epochs", "train.epochs", type=int)
     sp.add_argument("--out-dir", default="ablate-out")
 
     return parser
 
-
-_FLAG_KEYS = {
-    "count": "gen.count",
-    "height": "gen.height",
-    "width": "gen.width",
-    "annotators": "gen.annotators",
-    "jitter": "gen.jitter_px",
-    "epochs": "train.epochs",
-    "batch_size": "train.batch_size",
-    "loss_mode": "train.loss_mode",
-    "learning_rate": "opt.learning_rate",
-    "max_dist_fraction": "eval.max_dist_fraction",
-    "n_thresholds": "eval.n_thresholds",
-    "scales": "infer.scales",
-}
 
 _COMMANDS = {
     "gen": _cmd_gen,
@@ -410,8 +382,7 @@ _COMMANDS = {
     "ablate": _cmd_ablate,
 }
 
-_DATA_ERRORS = (ParseError, ValidationError, ShapeError, FileNotFoundError,
-                IsADirectoryError, PermissionError)
+_DATA_ERRORS = (ParseError, ValidationError, ShapeError, OSError)
 _CONFIG_ERRORS = (ConfigError, ContractError, TopologyError)
 _NUMERIC_ERRORS = (DomainError, TrainingError, FloatingPointError, OverflowError)
 
@@ -424,8 +395,10 @@ def run(argv):
         return int(exc.code) if exc.code else 0
     sub = args.command
     try:
-        overrides = {key: getattr(args, flag) for flag, key in _FLAG_KEYS.items()
-                     if getattr(args, flag, None) is not None}
+        if args.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {args.seed}")
+        overrides = {key: val for key, val in vars(args).items()
+                     if key in DEFAULTS and val is not None}
         cfg = CliConfig.load(args.config, overrides)
         if args.show_config:
             print(cfg.show())

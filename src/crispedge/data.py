@@ -191,6 +191,8 @@ def gen_synthetic(count, size, annotators, jitter_px, seed):
         raise ContractError(f"jitter_px must be finite and >= 0, got {jitter_px}")
     if count < 0:
         raise ContractError(f"count must be >= 0, got {count}")
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
 
     margin = 4.0 + float(np.ceil(jitter_px))
     # _sample_shape keeps a shape's centre margin + radius from every edge, with
@@ -407,26 +409,34 @@ def save_manifest(manifest, path):
             fh.write(f"{e.id}\t{e.image_path}\t{','.join(e.ann_paths)}\t{e.split}\n")
 
 
+def read_ascii_lines(path):
+    """The lines of an ASCII text file; any other byte is a ParseError."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not an ASCII text file") from exc
+
+
 def load_manifest(path):
     base = os.path.dirname(os.path.abspath(path))
     entries = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ParseError(f"{path}:{lineno}: expected 4 tab-separated fields, "
-                                 f"got {len(parts)}")
-            sid, image_path, ann_field, split = parts
-            ann_paths = tuple(p for p in ann_field.split(",") if p)
-            resolved_img = os.path.join(base, image_path)
-            resolved_anns = tuple(os.path.join(base, p) for p in ann_paths)
-            for p in (resolved_img, *resolved_anns):
-                if not os.path.exists(p):
-                    raise ValidationError(f"{path}:{lineno}: missing file '{p}'")
-            entries.append(ManifestEntry(sid, resolved_img, resolved_anns, split))
+    for lineno, line in enumerate(read_ascii_lines(path), start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise ParseError(f"{path}:{lineno}: expected 4 tab-separated fields, "
+                             f"got {len(parts)}")
+        sid, image_path, ann_field, split = parts
+        ann_paths = tuple(p for p in ann_field.split(",") if p)
+        resolved_img = os.path.join(base, image_path)
+        resolved_anns = tuple(os.path.join(base, p) for p in ann_paths)
+        for p in (resolved_img, *resolved_anns):
+            if not os.path.exists(p):
+                raise ValidationError(f"{path}:{lineno}: missing file '{p}'")
+        entries.append(ManifestEntry(sid, resolved_img, resolved_anns, split))
     return DatasetManifest(entries)
 
 

@@ -62,6 +62,8 @@ class TrainConfig:
             raise ContractError(f"eval_fraction must be positive, got {self.eval_fraction}")
         if any(e < 1 for e in self.lr_decay_epochs):
             raise ContractError("lr decay milestones must be >= 1")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -230,6 +230,48 @@ def test_bad_config_value_exits_3(tmp_path, capsys):
     assert err.startswith("crispedge: gen:")
 
 
+BAD_CONFIG_VALUES = [
+    ("gen.count = x", "gen --out-dir {dir}/g",
+     "config key 'gen.count' wants an integer, got 'x'"),
+    ("opt.momentum = x", "train --manifest {dir}/ds/manifest.tsv --out-dir {dir}/t",
+     "config key 'opt.momentum' wants a number, got 'x'"),
+    ("train.lr_decay_epochs = 1,x", "train --manifest {dir}/ds/manifest.tsv --out-dir {dir}/t",
+     "config key 'train.lr_decay_epochs' wants comma-separated integers, got '1,x'"),
+    ("infer.scales = 1,x", "infer --params {dir}/params.crb --image {dir}/image.pgm",
+     "config key 'infer.scales' wants comma-separated numbers, got '1,x'"),
+]
+
+
+@pytest.mark.parametrize("line,argv,message", BAD_CONFIG_VALUES,
+                         ids=[case[0].split()[0] for case in BAD_CONFIG_VALUES])
+def test_bad_config_value_message(tmp_path, capsys, line, argv, message):
+    exit_case_inputs(tmp_path)
+    (tmp_path / "c.cfg").write_text(line + "\n")
+    args = argv.format(dir=tmp_path).split()
+    code, _, err = invoke(capsys, *args, "--config", str(tmp_path / "c.cfg"))
+    assert code == 3
+    assert err == f"crispedge: {args[0]}: {message}\n"
+
+
+SETTING_FLAGS = {
+    "gen": ["--count COUNT", "--height HEIGHT", "--width WIDTH",
+            "--annotators ANNOTATORS", "--jitter JITTER"],
+    "train": ["--epochs EPOCHS", "--batch-size BATCH_SIZE", "--loss-mode LOSS_MODE",
+              "--learning-rate LEARNING_RATE"],
+    "infer": ["--scales SCALES"],
+    "eval": ["--max-dist-fraction MAX_DIST_FRACTION", "--n-thresholds N_THRESHOLDS"],
+    "ablate": ["--epochs EPOCHS"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SETTING_FLAGS))
+def test_help_shows_setting_metavars(capsys, command):
+    code, out, _ = invoke(capsys, command, "--help")
+    assert code == 0
+    for flag in SETTING_FLAGS[command]:
+        assert f"  {flag}\n" in out or f"  {flag}  " in out, flag
+
+
 def test_missing_manifest_exits_4(tmp_path, capsys):
     code, _, err = invoke(capsys, "train", "--manifest", str(tmp_path / "nope.tsv"))
     assert code == 4
@@ -263,8 +305,9 @@ def test_bad_loss_mode_exits_3(tmp_path, capsys):
 
 def exit_case_inputs(tmp_path):
     """Small inputs for the exit-code table: one-image eval manifests with a
-    PGM, a finite CRB and a NaN CRB prediction, infer's params and image, and
-    a two-sample training set."""
+    PGM, a finite CRB and a NaN CRB prediction, infer's params and image, each
+    also with a NaN, a two-sample training set, and a manifest and a config
+    file that hold a non-ASCII byte."""
     rng = np.random.default_rng(4)
     ann = np.zeros((16, 16))
     ann[8, 2:14] = 1.0
@@ -277,8 +320,16 @@ def exit_case_inputs(tmp_path):
     for name, image in (("pgm", "pred.pgm"), ("crb", "pred.crb"), ("nan", "nan.crb")):
         (tmp_path / f"{name}.tsv").write_text(f"x\t{image}\tann.pgm\ttest\n")
     net = build_refine_net(default_topology(), seed=0)
-    write_crb(str(tmp_path / "params.crb"), np.concatenate([p.data.ravel() for p in net.params()]))
-    write_image(str(tmp_path / "image.pgm"), rng.random((16, 16)))
+    params = np.concatenate([p.data.ravel() for p in net.params()])
+    write_crb(str(tmp_path / "params.crb"), params)
+    params[7] = np.nan
+    write_crb(str(tmp_path / "nan-params.crb"), params)
+    image = rng.random((16, 16))
+    write_image(str(tmp_path / "image.pgm"), image)
+    image[4, 9] = np.nan
+    write_crb(str(tmp_path / "nan-image.crb"), image[None, None])
+    (tmp_path / "latin.tsv").write_bytes(b"x\tpr\xe9d.crb\tann.pgm\ttest\n")
+    (tmp_path / "latin.cfg").write_bytes(b"# caf\xe9\ngen.count = 2\n")
     save_dataset(gen_synthetic(2, (24, 24), 2, 1.0, seed=1), str(tmp_path / "ds"))
 
 
@@ -299,6 +350,16 @@ EXIT_CASES = [
      "train --manifest {dir}/ds/manifest.tsv --epochs 1 --learning-rate 1e300 --out-dir {dir}/t", 5),
     ("gen-jitter-too-large",
      "gen --count 2 --height 24 --width 24 --jitter 12 --out-dir {dir}/g", 3),
+    ("eval-manifest-under-a-file", "eval --manifest {dir}/pred.pgm/x.tsv --out-dir {dir}/e", 4),
+    ("gen-out-dir-is-a-file", "gen --count 1 --height 24 --width 24 --out-dir {dir}/pred.pgm", 4),
+    ("eval-manifest-not-ascii", "eval --manifest {dir}/latin.tsv --out-dir {dir}/e", 4),
+    ("gen-config-not-ascii", "gen --config {dir}/latin.cfg --out-dir {dir}/g", 3),
+    ("infer-nan-params",
+     "infer --params {dir}/nan-params.crb --image {dir}/image.pgm --out {dir}/p.crb", 5),
+    ("infer-nan-image",
+     "infer --params {dir}/params.crb --image {dir}/nan-image.crb --out {dir}/p.crb", 5),
+    ("gen-negative-seed", "gen --count 1 --height 24 --width 24 --seed -1 --out-dir {dir}/g", 3),
+    ("gradcheck-negative-seed", "gradcheck --seed -1", 3),
 ]
 
 
@@ -312,6 +373,7 @@ def test_exit_code_table(tmp_path, capsys, argv, want):
     if want:
         assert err.startswith(f"crispedge: {args[0]}:")
         assert err.count("\n") == 1
+        assert not (tmp_path / "p.crb").exists()
     else:
         assert (tmp_path / "e" / "scores.txt").exists()
 

@@ -91,6 +91,21 @@ def test_validator_rejects_non_finite_and_out_of_range(name, data):
         build(value)
 
 
+# name: build from one seed
+SEED_CASES = {
+    "gen.seed": lambda s: gen_synthetic(1, (32, 32), 1, 1.0, seed=s),
+    "train.seed": lambda s: TrainConfig(seed=s),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(max_value=-1))
+@pytest.mark.parametrize("name", sorted(SEED_CASES))
+def test_validator_rejects_negative_seed(name, seed):
+    with pytest.raises(ContractError, match="seed"):
+        SEED_CASES[name](seed)
+
+
 @settings(max_examples=40, deadline=None)
 @given(side=st.integers(24, 200), data=st.data())
 def test_gen_rejects_jitter_that_leaves_no_room(side, data):
