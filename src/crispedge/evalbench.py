@@ -10,7 +10,6 @@ penalizes maps that are only thin because a cleanup pass made them so.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -19,7 +18,6 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
-from scipy.spatial import cKDTree
 
 from .errors import ContractError, DomainError, ShapeError
 from .losses import AnnotationSet
@@ -145,16 +143,63 @@ def nms_thin(p) -> np.ndarray:
 # matching
 
 
-def _neighbor_graph(det_pts: np.ndarray, gt_pts: np.ndarray, tol_px: float) -> tuple[np.ndarray, np.ndarray]:
-    """Edges from each of det_pts, in order, to the gt_pts within ``tol_px``:
-    per-row edge counts and the ascending column indices of all rows."""
-    if len(det_pts) == 0 or len(gt_pts) == 0:
-        return np.zeros(len(det_pts), dtype=np.int64), np.empty(0, dtype=np.int64)
-    lists = cKDTree(gt_pts).query_ball_point(det_pts, r=tol_px, return_sorted=True)
-    lengths = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
-    indices = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.int64,
-                          count=int(lengths.sum()))
-    return lengths, indices
+# (support pixel, row offset) pairs per block of the pair search; this many
+# hold each of a block's int64 tables at 0.5 MB whatever the image size and
+# the tolerance
+_PAIR_BUDGET = 1 << 16
+
+
+def _disk_rows(tol_px: float, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """The tolerance disk as runs of columns: the row offsets dy, ascending,
+    of the integer offsets (dy, dx) with ``dy*dy + dx*dx <= tol_px*tol_px``
+    that can join two pixels of an h x w image, and the largest |dx| on each."""
+    reach = abs(tol_px)    # a NaN reach keeps no offset, an infinite one all
+    ry = min(int(reach) + 1, h - 1) if reach < h else h - 1
+    rx = min(int(reach) + 1, w - 1) if reach < w else w - 1
+    dy, dx = np.mgrid[-ry:ry + 1, 0:rx + 1]
+    inside = dy * dy + dx * dx <= tol_px * tol_px
+    rows = inside[:, 0]
+    return dy[rows, 0], np.count_nonzero(inside[rows], axis=1) - 1
+
+
+def _neighbor_graphs(support: np.ndarray, gts: Sequence[np.ndarray],
+                     tol_px: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Edges from each support pixel, in row-major order, to each annotator's
+    pixels within ``tol_px``: per annotator, the per-row edge counts and the
+    ascending column indices (row-major pixel numbers) of all rows.
+
+    The disk covers one run of columns on each row offset, and the annotator
+    pixels inside a run of one image row are numbered consecutively, so each
+    (support pixel, row offset) pair yields a range of column indices, read
+    off a running count of the annotator's pixels. The row offsets ascend, so
+    a support pixel's ranges join into ascending columns.
+    """
+    h, w = support.shape
+    dys, half = _disk_rows(tol_px, h, w)
+    ys, xs = np.nonzero(support)
+    firsts = []    # per annotator, the number of its first pixel at or after (y, x)
+    for gt in gts:
+        first = np.zeros((h, w + 1), dtype=np.int64)
+        np.cumsum(gt, axis=1, out=first[:, 1:])
+        first[1:] += np.cumsum(first[:-1, -1])[:, None]
+        firsts.append(first)
+    block = max(1, _PAIR_BUDGET // max(1, len(dys)))
+    graphs = [(np.empty(len(ys), dtype=np.int64), [np.zeros(0, dtype=np.int64)]) for _ in gts]
+    for start in range(0, len(ys), block):
+        y = ys[start:start + block, None] + dys
+        x = xs[start:start + block, None]
+        on_image = (y >= 0) & (y < h)
+        y = np.clip(y, 0, h - 1)
+        left = np.clip(x - half, 0, w)
+        right = np.clip(x + half + 1, 0, w)
+        for first, (lengths, indices) in zip(firsts, graphs):
+            lo = first[y, left]
+            n = np.where(on_image, first[y, right] - lo, 0)
+            lengths[start:start + block] = n.sum(axis=1)
+            # each range lo, lo + 1, ..., lo + n - 1 in turn
+            n = n.ravel()
+            indices.append(np.arange(n.sum()) + np.repeat(lo.ravel() - (np.cumsum(n) - n), n))
+    return [(lengths, np.concatenate(indices)) for lengths, indices in graphs]
 
 
 def _matched_rows(lengths: np.ndarray, indices: np.ndarray, n_gt: int) -> np.ndarray:
@@ -177,8 +222,8 @@ def match_boundaries(detected, gt, tol_px: float) -> tuple[int, int]:
     gtm = as_boundary_map(gt)
     if det.shape != gtm.shape:
         raise ShapeError(f"detected {det.shape} and ground truth {gtm.shape} differ in shape")
-    gt_pts = np.argwhere(gtm)
-    matched = len(_matched_rows(*_neighbor_graph(np.argwhere(det), gt_pts, tol_px), len(gt_pts)))
+    (lengths, indices), = _neighbor_graphs(det, [gtm], tol_px)
+    matched = len(_matched_rows(lengths, indices, np.count_nonzero(gtm)))
     return matched, matched
 
 
@@ -224,14 +269,11 @@ def _counts_at_thresholds(base: np.ndarray, annotations: AnnotationSet,
     # Recall sums each annotator's matches, while a detected pixel counts
     # toward precision once no matter how many annotators it satisfies
     on = base > 0.0
-    support = np.argwhere(on)
     vals = base[on]
-    graphs = []
-    total_gt = 0
-    for k in range(annotations.n):
-        gt_pts = np.argwhere(annotations.maps[k] > 0.5)
-        total_gt += len(gt_pts)
-        graphs.append((*_neighbor_graph(support, gt_pts, tol_px), len(gt_pts)))
+    gts = annotations.maps > 0.5
+    graphs = [(lengths, indices, int(np.count_nonzero(gt)))
+              for (lengths, indices), gt in zip(_neighbor_graphs(on, gts, tol_px), gts)]
+    total_gt = sum(n_gt for _, _, n_gt in graphs)
     out = []
     last = None    # (detected, matched_detected, matched_gt) of the previous threshold
     for t in thresholds:

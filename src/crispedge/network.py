@@ -219,6 +219,13 @@ class RefineNet:
         self.head_kernel = head_kernel
         self.head_bias = head_bias
         self._head_src = topology.head_source()
+        # the features each block is the last to read, freed once it has run
+        last_reader = {}
+        for i, block in enumerate(blocks):
+            for src, _ in block.spec.input_slots:
+                last_reader[src] = i
+        self._last_reads = [[src for src, j in last_reader.items() if j == i and src != self._head_src]
+                            for i in range(len(blocks))]
 
     def params(self) -> list[Parameter]:
         """All trainable parameters in a fixed structural order (the order
@@ -246,9 +253,11 @@ class RefineNet:
         for i, (kernel, st) in enumerate(zip(self.encoder_kernels, self.topology.encoder_stages), start=1):
             h = relu(conv2d(h, kernel, stride=st.stride, padding=1))
             feats[f"enc{i}"] = h
-        for block in self.blocks:
-            inputs = [feats[src] for src, _ in block.spec.input_slots]
-            feats[block.spec.name] = block.forward(inputs)
+        del h    # the last stage's output is then freed with its feats entry
+        for block, last_reads in zip(self.blocks, self._last_reads):
+            feats[block.spec.name] = block.forward([feats[src] for src, _ in block.spec.input_slots])
+            for src in last_reads:
+                del feats[src]
         logits = add(conv2d(feats[self._head_src], self.head_kernel), self.head_bias)
         return sigmoid(logits)
 

@@ -5,6 +5,7 @@ formulas) on purpose: these functions must not share code or vectorization
 tricks with the implementations they judge.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -196,20 +197,34 @@ def max_matching_loops(left_pts, right_pts, tol):
     return count
 
 
+def neighbor_graph(det_pts, gt_pts, tol_px):
+    """KD-tree pair search: edges from each of det_pts, in order, to the
+    gt_pts within ``tol_px``, as per-row edge counts and the ascending column
+    indices of all rows."""
+    from scipy.spatial import cKDTree
+
+    if len(det_pts) == 0 or len(gt_pts) == 0:
+        return np.zeros(len(det_pts), dtype=np.int64), np.empty(0, dtype=np.int64)
+    lists = cKDTree(gt_pts).query_ball_point(det_pts, r=tol_px, return_sorted=True)
+    lengths = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
+    indices = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.int64,
+                          count=int(lengths.sum()))
+    return lengths, indices
+
+
 def counts_for_binary(det, gt_maps, tol):
     """Per-threshold benchmark counts, one pair search per call.
 
     This is the literal protocol: the detected pixels of the binary map
     ``det`` are matched against each annotator's pixels in turn through a
-    fresh KD-tree and scipy's Hopcroft-Karp, on a graph whose rows are the
-    detections in row-major order with ascending columns. Recall sums the
-    matches over annotators; a detected pixel counts once toward precision
-    however many annotators match it. Returns (matched_detected,
-    total_detected, matched_gt, total_gt).
+    fresh KD-tree search (``neighbor_graph``) and scipy's Hopcroft-Karp, on a
+    graph whose rows are the detections in row-major order with ascending
+    columns. Recall sums the matches over annotators; a detected pixel counts
+    once toward precision however many annotators match it. Returns
+    (matched_detected, total_detected, matched_gt, total_gt).
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import maximum_bipartite_matching
-    from scipy.spatial import cKDTree
 
     det_pts = np.argwhere(det)
     matched_union = np.zeros(len(det_pts), dtype=bool)
@@ -218,17 +233,11 @@ def counts_for_binary(det, gt_maps, tol):
     for gt in gt_maps:
         gt_pts = np.argwhere(gt > 0.5)
         total_gt += len(gt_pts)
-        if len(det_pts) == 0 or len(gt_pts) == 0:
+        lengths, indices = neighbor_graph(det_pts, gt_pts, tol)
+        if not len(indices):
             continue
-        indptr = [0]
-        indices = []
-        for lst in cKDTree(gt_pts).query_ball_point(det_pts, r=tol):
-            indices.extend(sorted(lst))
-            indptr.append(len(indices))
-        if not indices:
-            continue
-        graph = csr_matrix((np.ones(len(indices), dtype=np.int8),
-                            np.asarray(indices, dtype=np.int64), np.asarray(indptr)),
+        indptr = np.concatenate([[0], np.cumsum(lengths)])
+        graph = csr_matrix((np.ones(len(indices), dtype=np.int8), indices, indptr),
                            shape=(len(det_pts), len(gt_pts)))
         rows = np.flatnonzero(maximum_bipartite_matching(graph, perm_type="column") != -1)
         matched_gt += len(rows)

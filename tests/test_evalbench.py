@@ -1,10 +1,17 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.ndimage import gaussian_filter
 
+from crispedge.data import gen_synthetic
 from crispedge.errors import ContractError, DomainError, ShapeError
 from crispedge.evalbench import (
     _counts_at_thresholds,
+    _neighbor_graphs,
     MatchCounts,
     average_precision,
     default_thresholds,
@@ -20,8 +27,9 @@ from crispedge.evalbench import (
     tolerance_pixels,
 )
 from crispedge.losses import AnnotationSet
+from crispedge.network import build_refine_net, predict
 
-from oracles import counts_for_binary, max_matching_loops
+from oracles import counts_for_binary, max_matching_loops, neighbor_graph
 
 
 def ring_mask(n=12):
@@ -203,6 +211,70 @@ def test_match_monotone_in_tolerance():
     b = rng.random((10, 10)) > 0.8
     counts = [match_boundaries(a, b, tol)[0] for tol in (0.5, 1.0, 1.5, 2.0, 3.0, 5.0)]
     assert counts == sorted(counts)
+
+
+# tolerances where a lattice distance sits exactly on, or one ulp off, the radius
+EDGE_TOLERANCES = [0.0, 0.5, 1.0, math.sqrt(2.0), 2.0, math.sqrt(5.0),
+                   math.nextafter(2.0, -math.inf), math.nextafter(2.0, math.inf)]
+
+
+@st.composite
+def pair_search_case(draw):
+    """A support mask and one to three annotator masks on an image of 1x1 to
+    40x40, each mask empty, full or random, and a tolerance below one pixel,
+    on a lattice distance, anywhere up to a few pixels, or at or above the
+    image diagonal."""
+    h = draw(st.integers(1, 40), label="h")
+    w = draw(st.integers(1, 40), label="w")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+
+    def mask():
+        density = draw(st.sampled_from([0.0, 0.02, 0.2, 0.6, 1.0]))
+        return rng.random((h, w)) < density
+
+    support = mask()
+    gts = [mask() for _ in range(draw(st.integers(1, 3), label="annotators"))]
+    diagonal = math.hypot(h - 1, w - 1)
+    tol = draw(st.one_of(st.sampled_from(EDGE_TOLERANCES),
+                         st.floats(0.0, 6.0),
+                         st.sampled_from([diagonal, math.hypot(h, w), 4.0 * math.hypot(h, w)])),
+               label="tol")
+    return support, gts, tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=pair_search_case())
+def test_grid_pair_search_equals_kdtree_oracle(case):
+    support, gts, tol = case
+    graphs = _neighbor_graphs(support, gts, tol)
+    assert len(graphs) == len(gts)
+    for gt, (lengths, indices) in zip(gts, graphs):
+        want_lengths, want_indices = neighbor_graph(np.argwhere(support), np.argwhere(gt), tol)
+        assert np.array_equal(lengths, want_lengths)
+        assert np.array_equal(indices, want_indices)
+
+
+def test_pair_search_memory_is_bounded_at_bsds_size():
+    # every pixel of a 321x481 map as support against three annotators at the
+    # standard tolerance: searched in one block, the pair search peaks near
+    # 90 MB; the whole call on the untrained network's near-flat map, whose
+    # thickness support is every pixel, peaked at 22.8 MB with a KD-tree search
+    h, w = 321, 481
+    sample = gen_synthetic(1, (h, w), 3, 1.0, 0)[0]
+    tol = tolerance_pixels(h, w, 0.0075)
+    near_flat = predict(build_refine_net(seed=0), sample.image)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        _neighbor_graphs(np.ones((h, w), dtype=bool), sample.annotations.maps > 0.5, tol)
+        search_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        eval_criteria([near_flat], [sample.annotations], 0.0075)
+        eval_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert search_peak < 32 * 2**20
+    assert eval_peak < 23 * 2**20
 
 
 def test_match_equals_augmenting_path_oracle():
