@@ -153,9 +153,8 @@ def _disk_rows(tol_px: float, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     """The tolerance disk as runs of columns: the row offsets dy, ascending,
     of the integer offsets (dy, dx) with ``dy*dy + dx*dx <= tol_px*tol_px``
     that can join two pixels of an h x w image, and the largest |dx| on each."""
-    reach = abs(tol_px)    # a NaN reach keeps no offset, an infinite one all
-    ry = min(int(reach) + 1, h - 1) if reach < h else h - 1
-    rx = min(int(reach) + 1, w - 1) if reach < w else w - 1
+    ry = min(int(tol_px) + 1, h - 1) if tol_px < h else h - 1    # inf keeps every offset
+    rx = min(int(tol_px) + 1, w - 1) if tol_px < w else w - 1
     dy, dx = np.mgrid[-ry:ry + 1, 0:rx + 1]
     inside = dy * dy + dx * dx <= tol_px * tol_px
     rows = inside[:, 0]
@@ -173,7 +172,12 @@ def _neighbor_graphs(support: np.ndarray, gts: Sequence[np.ndarray],
     (support pixel, row offset) pair yields a range of column indices, read
     off a running count of the annotator's pixels. The row offsets ascend, so
     a support pixel's ranges join into ascending columns.
+
+    ``tol_px`` must be non-negative; 0 pairs coincident pixels only, and
+    +inf pairs every pixel with every annotator pixel.
     """
+    if not tol_px >= 0.0:
+        raise ContractError(f"matching tolerance must be non-negative, got {tol_px}")
     h, w = support.shape
     dys, half = _disk_rows(tol_px, h, w)
     ys, xs = np.nonzero(support)
@@ -217,7 +221,8 @@ def _matched_rows(lengths: np.ndarray, indices: np.ndarray, n_gt: int) -> np.nda
 
 def match_boundaries(detected, gt, tol_px: float) -> tuple[int, int]:
     """Count one-to-one correspondences within ``tol_px`` Euclidean distance,
-    maximizing the number of pairs; both returned counts are equal."""
+    maximizing the number of pairs; both returned counts are equal. A
+    negative or NaN ``tol_px`` raises ``ContractError``."""
     det = as_boundary_map(detected)
     gtm = as_boundary_map(gt)
     if det.shape != gtm.shape:
@@ -295,7 +300,8 @@ def _counts_at_thresholds(base: np.ndarray, annotations: AnnotationSet,
 def pr_at_threshold(p, annotations: AnnotationSet, t: float, tol_px: float,
                     post_process: bool) -> MatchCounts:
     """Binarize at ``p >= t`` (after post-processing when requested) and
-    match against every annotator in order."""
+    match against every annotator in order. A negative or NaN ``tol_px``
+    raises ``ContractError``."""
     if not 0.0 < t < 1.0:
         raise ContractError(f"threshold must be in (0, 1), got {t}")
     p = as_probability_map(p)

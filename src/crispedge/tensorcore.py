@@ -301,13 +301,21 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
         (s[0], s[1], s[2], s[3], s[2] * stride, s[3] * stride))
 
     def grad_fn(g: np.ndarray) -> None:
-        dk = np.einsum("bcijhw,bohw->ocij", view, g, optimize=True)
-        _accumulate(kernel, dk)
+        # dk is one GEMM of g, (O, B*OH*OW), with the taps of the view copied
+        # into one column buffer, (C*KH*KW, B*OH*OW). The buffer is freed
+        # before dx builds its own product of the same size.
+        cols = view.transpose(1, 2, 3, 0, 4, 5).reshape(c * kh * kw, -1)
+        g_rows = g.transpose(1, 0, 2, 3).reshape(o, -1)
+        _accumulate(kernel, (g_rows @ cols.T).reshape(o, c, kh, kw))
+        del cols, g_rows
+        # dx: every tap's contribution in one batched matmul, then scattered
+        # back tap by tap onto the padded input
+        taps = (kernel.data.reshape(o, -1).T @ g.reshape(b, o, oh * ow)).reshape(
+            b, c, kh, kw, oh, ow)
         dxp = np.zeros_like(xp)
         for i in range(kh):
             for j in range(kw):
-                dxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += np.einsum(
-                    "bohw,oc->bchw", g, kernel.data[:, :, i, j], optimize=True)
+                dxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += taps[:, :, i, j]
         if padding:
             dxp = dxp[:, :, padding:padding + h, padding:padding + w]
         _accumulate(x, dxp)

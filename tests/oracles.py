@@ -34,6 +34,32 @@ def conv2d_loops(x, k, stride=1, padding=0):
     return out
 
 
+def conv2d_grads_loops(x, k, g, stride=1, padding=0):
+    """Gradients (dx, dk) of sum(g * conv2d(x, k)) by nested loops: each
+    output pixel hands g times the kernel tap to the input pixel it read, and
+    g times that input pixel to the tap."""
+    b, c, h, w = x.shape
+    o, ck, kh, kw = k.shape
+    assert c == ck
+    _, _, oh, ow = g.shape
+    xp = np.zeros((b, c, h + 2 * padding, w + 2 * padding))
+    xp[:, :, padding:padding + h, padding:padding + w] = x
+    dxp = np.zeros_like(xp)
+    dk = np.zeros_like(k, dtype=float)
+    for bi in range(b):
+        for oi in range(o):
+            for y in range(oh):
+                for xx in range(ow):
+                    gv = g[bi, oi, y, xx]
+                    for ci in range(c):
+                        for i in range(kh):
+                            for j in range(kw):
+                                yy, xj = y * stride + i, xx * stride + j
+                                dxp[bi, ci, yy, xj] += gv * k[oi, ci, i, j]
+                                dk[oi, ci, i, j] += gv * xp[bi, ci, yy, xj]
+    return dxp[:, :, padding:padding + h, padding:padding + w], dk
+
+
 def bilinear_scalar(img, th, tw):
     """Closed-form bilinear resize of a 2-D map, half-pixel-center convention."""
     h, w = img.shape

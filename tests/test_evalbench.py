@@ -192,6 +192,32 @@ def test_match_shifted_line():
     assert md == mg == 5
 
 
+# (tolerance, pairs found between a 5-px line and its 1-px shift, or the error)
+TOLERANCE_DOMAIN = {
+    "zero": (0.0, 4),
+    "inf": (math.inf, 5),
+    "negative": (-1.5, ContractError),
+    "nan": (math.nan, ContractError),
+}
+
+
+@pytest.mark.parametrize("case", TOLERANCE_DOMAIN.values(), ids=TOLERANCE_DOMAIN)
+def test_match_tolerance_domain(case):
+    tol, want = case
+    a = np.zeros((6, 8), dtype=bool)
+    a[2, 1:6] = True
+    b = np.roll(a, 1, axis=1)
+    ann = AnnotationSet([b])
+    if want is ContractError:
+        with pytest.raises(ContractError, match="tolerance"):
+            match_boundaries(a, b, tol)
+        with pytest.raises(ContractError, match="tolerance"):
+            pr_at_threshold(a.astype(float), ann, 0.5, tol, post_process=False)
+    else:
+        assert match_boundaries(a, b, tol) == (want, want)
+        assert pr_at_threshold(a.astype(float), ann, 0.5, tol, post_process=False).matched_gt == want
+
+
 def test_match_empty_sides():
     z = np.zeros((5, 5), dtype=bool)
     m = ring_mask(5) > 0 if False else np.eye(5, dtype=bool)

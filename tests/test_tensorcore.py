@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from crispedge.tensorcore import (
 from crispedge.gradcheck import OP_CASES
 from crispedge.network import default_topology
 
-from oracles import bilinear_scalar, conv2d_loops, fd_gradient, rel_err
+from oracles import bilinear_scalar, conv2d_grads_loops, conv2d_loops, fd_gradient, rel_err
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +128,52 @@ def test_conv_gradients_match_fd():
         ana = tensor.grad.reshape(-1)
         for i, g in num.items():
             assert rel_err(ana[i], g) < 1e-4
+
+
+# (input shape, kernel shape, stride, padding)
+CONV_GRAD_CASES = {
+    "c1-k3-s1-p1": ((1, 1, 5, 7), (4, 1, 3, 3), 1, 1),
+    "o1-k3-s2-p0": ((3, 2, 6, 5), (1, 2, 3, 3), 2, 0),
+    "o1c1-k3-s2-p1": ((3, 1, 9, 6), (1, 1, 3, 3), 2, 1),
+    "k3-s1-p0": ((1, 2, 6, 9), (3, 2, 3, 3), 1, 0),
+    "k3-s2-p1": ((3, 3, 7, 9), (2, 3, 3, 3), 2, 1),
+    "k1-s1-p0": ((3, 4, 5, 7), (2, 4, 1, 1), 1, 0),
+    "k1-s2-p1": ((1, 3, 7, 4), (3, 3, 1, 1), 2, 1),
+    "o1c1-k1-s1-p0": ((3, 1, 5, 3), (1, 1, 1, 1), 1, 0),
+}
+
+
+@pytest.mark.parametrize("case", CONV_GRAD_CASES.values(), ids=CONV_GRAD_CASES)
+def test_conv_gradients_match_loop_oracle(case):
+    x_shape, k_shape, stride, padding = case
+    rng = np.random.default_rng(sum(x_shape) + sum(k_shape))
+    x, k = Tensor(rng.standard_normal(x_shape)), Tensor(rng.standard_normal(k_shape))
+    y = conv2d(x, k, stride=stride, padding=padding)
+    g = rng.standard_normal(y.shape)
+    backward(global_sum(mul(y, Tensor(g))))
+    want_dx, want_dk = conv2d_grads_loops(x.data, k.data, g, stride, padding)
+    assert np.allclose(x.grad, want_dx, rtol=1e-12)
+    assert np.allclose(k.grad, want_dk, rtol=1e-12)
+
+
+def test_conv_backward_scratch_is_bounded():
+    # the 8-channel 3x3 conv at batch 10, 64x64: its column buffer holds
+    # 8*9 x 10*64*64 doubles (22.5 MB); dx builds a product of the same size,
+    # so holding the buffer into dx would double the peak
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.standard_normal((10, 8, 64, 64)))
+    k = Tensor(rng.standard_normal((8, 8, 3, 3)))
+    y = conv2d(x, k, padding=1)
+    g = rng.standard_normal(y.shape)
+    cols_bytes = 8 * 9 * 10 * 64 * 64 * 8
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        y._grad_fn(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * cols_bytes
 
 
 # ---------------------------------------------------------------------------
