@@ -10,7 +10,6 @@ from crispedge import (
     gen_synthetic,
     match_boundaries,
     tolerance_pixels,
-    true_outline,
 )
 from crispedge.evalbench import pr_at_threshold
 
@@ -44,7 +43,7 @@ for t in (0.5, 0.7):
 # annotators sit within a pixel or two of the truth; thickness is exact
 # since the outline is already thin.
 samples = gen_synthetic(8, (48, 48), annotators=3, jitter_px=1.0, seed=5)
-preds = [true_outline(s).astype(float) for s in samples]
+preds = [s.true_boundary for s in samples]
 anns = [s.annotations for s in samples]
 report = eval_criteria(preds, anns, base_fraction=0.0075 * 4)
 print()

@@ -11,10 +11,10 @@ from crispedge import (
     Tensor,
     adaptive_loss,
     backward,
+    batch_weight_maps,
     dice,
     soft_ce,
     soft_dice,
-    weight_map,
     weighted_ce,
 )
 
@@ -27,7 +27,7 @@ shifted[1:5, 4] = 1.0
 shifted[5:7, 5] = 1.0
 
 ann = AnnotationSet([base, base, shifted])
-wmap = weight_map(ann)
+wmap = batch_weight_maps([ann])
 print("consensus weights along row 5:", wmap.w[0, 0, 5])
 print(f"negative-pixel fraction beta = {wmap.beta:.4f}")
 

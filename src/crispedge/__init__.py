@@ -13,7 +13,6 @@ from .data import (
     read_crb,
     read_raster,
     save_dataset,
-    true_outline,
     write_crb,
     write_raster,
 )
@@ -48,7 +47,6 @@ from .losses import (
     dice,
     soft_ce,
     soft_dice,
-    weight_map,
     weighted_ce,
 )
 from .network import (
@@ -102,6 +100,7 @@ __all__ = [
     "batch_weight_maps",
     "build_refine_net",
     "combined_loss",
+    "default_topology",
     "dice",
     "eval_criteria",
     "gen_synthetic",
@@ -121,8 +120,6 @@ __all__ = [
     "tolerance_pixels",
     "toy_dataset",
     "train",
-    "true_outline",
-    "weight_map",
     "weighted_ce",
     "write_crb",
     "write_raster",

@@ -63,7 +63,7 @@ class DatasetManifest:
 # shape outlines
 
 
-def _disk_outline(rng, center, radius):
+def _disk_outline(center, radius):
     n = max(int(np.ceil(2 * np.pi * radius / _ARC_STEP)), 16)
     theta = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
     pts = np.stack([center[0] + radius * np.sin(theta),
@@ -125,7 +125,7 @@ def _sample_shape(rng, size, margin):
         r = float(rng.uniform(5.0, max(lim / 4.0, 5.5)))
         cy = float(rng.uniform(margin + r, h - 1 - margin - r))
         cx = float(rng.uniform(margin + r, w - 1 - margin - r))
-        pts, normals = _disk_outline(rng, (cy, cx), r)
+        pts, normals = _disk_outline((cy, cx), r)
         fill = _disk_fill(size, (cy, cx), r)
         box = (cy - r, cy + r, cx - r, cx + r)
     elif kind == "rect":
@@ -225,8 +225,6 @@ def gen_synthetic(count, size, annotators, jitter_px, seed):
                 d = _smooth_displacement(rng, len(pts), jitter_px)
                 canvas |= _rasterize(pts + d[:, None] * normals, (h, w))
             ann_maps.append(thin_binary(canvas).astype(float))
-        if jitter_px == 0:
-            ann_maps = [true_map.astype(float) for _ in range(annotators)]
 
         background = gaussian_filter(rng.random((h, w)), sigma=max(h, w) / 10.0)
         lo, hi = background.min(), background.max()
@@ -247,13 +245,6 @@ def gen_synthetic(count, size, annotators, jitter_px, seed):
             true_boundary=true_map.astype(float),
         ))
     return samples
-
-
-def true_outline(sample):
-    """Unperturbed boundary of a generated sample; falls back to annotator 0."""
-    if sample.true_boundary is not None:
-        return sample.true_boundary.copy()
-    return sample.annotations.maps[0].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +373,10 @@ def read_crb(path):
 
 
 def write_raster(tensor, path):
-    arr = tensor.data[0, 0] if isinstance(tensor, Tensor) else np.asarray(tensor, dtype=float)
     if path.endswith(".pgm"):
-        write_image(path, arr)
+        write_image(path, tensor.data[0, 0])
     elif path.endswith(".crb"):
-        write_crb(path, arr)
+        write_crb(path, tensor.data[0, 0])
     else:
         raise ValidationError(f"unsupported raster extension on '{path}' (want .pgm or .crb)")
 

@@ -125,6 +125,9 @@ def nms_thin(p) -> np.ndarray:
     if not p.any():
         return p.copy()
     h, w = p.shape
+    if min(h, w) < 2:
+        raise ShapeError(f"edge orientation needs at least 2 pixels along each axis, "
+                         f"got a {h}x{w} map")
     smooth = gaussian_filter(p, sigma=1.0, mode="nearest")
     gy, gx = np.gradient(smooth)
     theta = np.mod(np.arctan2(gy, gx), np.pi)

@@ -26,19 +26,14 @@ class AnnotationSet:
     __slots__ = ("maps",)
 
     def __init__(self, maps):
-        if isinstance(maps, np.ndarray):
-            stack = np.asarray(maps, dtype=np.float64)
-            if stack.ndim == 2:
-                stack = stack[None]
-        else:
-            maps = list(maps)
-            if not maps:
-                raise ContractError("an annotation set needs at least one annotator")
-            shapes = {np.asarray(m).shape for m in maps}
-            if len(shapes) != 1:
-                raise ShapeError(f"annotator maps disagree on shape: {sorted(shapes)}")
-            stack = np.stack([np.asarray(m, dtype=np.float64) for m in maps])
-        if stack.ndim != 3 or stack.shape[0] < 1:
+        maps = list(maps)
+        if not maps:
+            raise ContractError("an annotation set needs at least one annotator")
+        shapes = {np.asarray(m).shape for m in maps}
+        if len(shapes) != 1:
+            raise ShapeError(f"annotator maps disagree on shape: {sorted(shapes)}")
+        stack = np.stack([np.asarray(m, dtype=np.float64) for m in maps])
+        if stack.ndim != 3:
             raise ContractError(f"expected n x H x W annotator maps, got shape {stack.shape}")
         if not np.all((stack == 0.0) | (stack == 1.0)):
             raise DomainError("annotator maps must be strictly binary")
@@ -89,11 +84,6 @@ class ConsensusWeightMap:
         pos = int(np.count_nonzero(arr > 0.0))
         neg = arr.size - pos
         return cls(w=arr, beta=neg / arr.size, pos_count=pos, neg_count=neg)
-
-
-def weight_map(annotations: AnnotationSet) -> ConsensusWeightMap:
-    """Average the annotator maps into one consensus map."""
-    return ConsensusWeightMap.from_array(annotations.maps.mean(axis=0))
 
 
 def batch_weight_maps(annotation_sets: Sequence[AnnotationSet]) -> ConsensusWeightMap:

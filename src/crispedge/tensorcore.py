@@ -84,10 +84,6 @@ class Tensor:
             raise ContractError(f"item() needs a 1-element tensor, shape is {self.shape}")
         return float(self.data.reshape(()))
 
-    @classmethod
-    def scalar(cls, value: float) -> "Tensor":
-        return cls(np.full((1, 1, 1, 1), float(value)))
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
 

@@ -28,6 +28,8 @@ from .network import build_refine_net, default_topology, predict
 from .tensorcore import OptimizerConfig, Tensor, backward, sgd_step
 
 LOSS_MODES = ("ce", "sce", "sd", "sce+sd", "awl")
+# the soft losses and their two fusions, compared by an ablation by default
+ABLATION_MODES = ("sce", "sd", "sce+sd", "awl")
 
 
 @dataclass(frozen=True)
@@ -164,8 +166,7 @@ class AblationRow:
     ods_t: float
 
 
-def ablation_run(dataset, topology=None, modes=("sce", "sd", "sce+sd", "awl"),
-                 config=TrainConfig()):
+def ablation_run(dataset, topology=None, modes=ABLATION_MODES, config=TrainConfig()):
     """Train one network per loss mode from a shared seed; returns the rows."""
     rows = []
     for mode in modes:

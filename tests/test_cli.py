@@ -305,9 +305,9 @@ def test_bad_loss_mode_exits_3(tmp_path, capsys):
 
 def exit_case_inputs(tmp_path):
     """Small inputs for the exit-code table: one-image eval manifests with a
-    PGM, a finite CRB and a NaN CRB prediction, infer's params and image, each
-    also with a NaN, a two-sample training set, and a manifest and a config
-    file that hold a non-ASCII byte."""
+    PGM, a finite CRB, a NaN CRB and a one-row CRB prediction, infer's params
+    and image, each also with a NaN, a two-sample training set, and a manifest
+    and a config file that hold a non-ASCII byte."""
     rng = np.random.default_rng(4)
     ann = np.zeros((16, 16))
     ann[8, 2:14] = 1.0
@@ -319,6 +319,9 @@ def exit_case_inputs(tmp_path):
     write_crb(str(tmp_path / "nan.crb"), pred)
     for name, image in (("pgm", "pred.pgm"), ("crb", "pred.crb"), ("nan", "nan.crb")):
         (tmp_path / f"{name}.tsv").write_text(f"x\t{image}\tann.pgm\ttest\n")
+    write_crb(str(tmp_path / "row.crb"), pred[8:9])
+    write_annotation(str(tmp_path / "row-ann.pgm"), ann[8:9])
+    (tmp_path / "row.tsv").write_text("x\trow.crb\trow-ann.pgm\ttest\n")
     net = build_refine_net(default_topology(), seed=0)
     params = np.concatenate([p.data.ravel() for p in net.params()])
     write_crb(str(tmp_path / "params.crb"), params)
@@ -340,10 +343,15 @@ EXIT_CASES = [
     ("eval-max-dist-fraction-inf",
      "eval --manifest {dir}/crb.tsv --max-dist-fraction inf --out-dir {dir}/e", 3),
     ("eval-nan-prediction", "eval --manifest {dir}/nan.tsv --out-dir {dir}/e", 5),
+    ("eval-one-pixel-side-prediction", "eval --manifest {dir}/row.tsv --out-dir {dir}/e", 4),
     ("infer-scales-not-numbers",
      "infer --params {dir}/params.crb --image {dir}/image.pgm --scales abc --out {dir}/p.crb", 3),
     ("infer-scales-nan",
      "infer --params {dir}/params.crb --image {dir}/image.pgm --scales 1,nan --out {dir}/p.crb", 3),
+    ("infer-scales-above-cap",
+     "infer --params {dir}/params.crb --image {dir}/image.pgm --scales 1e10 --out {dir}/p.crb", 3),
+    ("infer-scales-overflow-dimension",
+     "infer --params {dir}/params.crb --image {dir}/image.pgm --scales 1e300 --out {dir}/p.crb", 3),
     ("train-learning-rate-nan",
      "train --manifest {dir}/ds/manifest.tsv --epochs 1 --learning-rate nan --out-dir {dir}/t", 3),
     ("train-last-step-overflows",

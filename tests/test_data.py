@@ -16,7 +16,6 @@ from crispedge.data import (
     read_pgm,
     read_raster,
     save_dataset,
-    true_outline,
     write_annotation,
     write_crb,
     write_image,
@@ -25,7 +24,7 @@ from crispedge.data import (
 )
 from crispedge.errors import ContractError, ParseError, ShapeError, ValidationError
 from crispedge.evalbench import eval_criteria, match_boundaries
-from crispedge.losses import AnnotationSet, weight_map
+from crispedge.losses import AnnotationSet, batch_weight_maps
 from crispedge.tensorcore import Tensor
 
 
@@ -56,13 +55,13 @@ def test_gen_jitter_zero_identical_annotators_binary_weights():
         assert np.array_equal(m[0], m[1])
         assert np.array_equal(m[1], m[2])
         assert np.array_equal(m[0], s.true_boundary)
-        w = weight_map(s.annotations)
+        w = batch_weight_maps([s.annotations])
         assert set(np.unique(w.w)) <= {0.0, 1.0}
 
 
 def test_gen_soundness_true_outline_scores_perfectly():
     samples = gen_synthetic(4, (64, 64), 3, 0.0, seed=7)
-    report = eval_criteria([true_outline(s) for s in samples],
+    report = eval_criteria([s.true_boundary for s in samples],
                            [s.annotations for s in samples], 0.0075)
     for res in report.results():
         assert res.scores.ods == 1.0
@@ -75,7 +74,7 @@ def test_gen_jitter_bound_holds_at_tolerance_three():
     # pixel within 3 px of the true outline and vice versa
     for seed in range(5):
         for s in gen_synthetic(3, (64, 64), 3, 2.0, seed=seed):
-            true_pts = np.argwhere(true_outline(s) > 0)
+            true_pts = np.argwhere(s.true_boundary > 0)
             ttree = cKDTree(true_pts)
             for m in s.annotations.maps:
                 ann_pts = np.argwhere(m > 0)
@@ -83,7 +82,7 @@ def test_gen_jitter_bound_holds_at_tolerance_three():
                 d_ta, _ = cKDTree(ann_pts).query(true_pts)
                 assert d_at.max() <= 3.0
                 assert d_ta.max() <= 3.0
-                md, _ = match_boundaries(m > 0, true_outline(s) > 0, 3.0)
+                md, _ = match_boundaries(m > 0, s.true_boundary > 0, 3.0)
                 smaller = min(len(ann_pts), len(true_pts))
                 assert md >= 0.9 * smaller
 

@@ -118,6 +118,17 @@ def test_nms_input_validation():
         nms_thin(np.full((3, 3), 1.5))
 
 
+@pytest.mark.parametrize("shape", [(1, 6), (6, 1)])
+def test_nms_one_pixel_side(shape):
+    # an all-zero map needs no orientation and passes through; any other map
+    # with a 1-pixel side has no gradient along that side
+    assert np.array_equal(nms_thin(np.zeros(shape)), np.zeros(shape))
+    p = np.zeros(shape)
+    p.flat[2] = 0.7
+    with pytest.raises(ShapeError, match="at least 2 pixels"):
+        nms_thin(p)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_probabilities_rejected(bad):
     p = np.full((4, 4), 0.5)

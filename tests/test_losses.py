@@ -15,7 +15,6 @@ from crispedge.losses import (
     dice,
     soft_ce,
     soft_dice,
-    weight_map,
     weighted_ce,
 )
 from crispedge.tensorcore import Tensor, backward
@@ -47,7 +46,7 @@ def test_weight_map_mean_of_annotators():
     marked = base.copy()
     marked[1, 1] = 1.0
     ann = AnnotationSet([marked, marked, base, base, base])
-    wm = weight_map(ann)
+    wm = batch_weight_maps([ann])
     assert wm.w[0, 0, 1, 1] == pytest.approx(0.4)
     assert wm.pos_count == 1
     assert wm.neg_count == 8
@@ -56,12 +55,12 @@ def test_weight_map_mean_of_annotators():
 def test_weight_map_single_annotator_identity():
     rng = np.random.default_rng(0)
     m = (rng.random((5, 5)) > 0.6).astype(float)
-    wm = weight_map(AnnotationSet([m]))
+    wm = batch_weight_maps([AnnotationSet([m])])
     assert np.array_equal(wm.w[0, 0], m)
 
 
 def test_weight_map_all_empty():
-    wm = weight_map(AnnotationSet([np.zeros((4, 4)), np.zeros((4, 4))]))
+    wm = batch_weight_maps([AnnotationSet([np.zeros((4, 4)), np.zeros((4, 4))])])
     assert np.all(wm.w == 0.0)
     assert wm.beta == 1.0
     assert wm.pos_count == 0

@@ -173,7 +173,7 @@ def test_param_count_matches_shape_arithmetic():
     r2a = 8 * 16 + 8 * 16 + 8 * 8 * 9 + 1
     head = 1 * 8 + 1
     want = enc + r1a + r1b + r1c + r2a + head
-    assert build_refine_net(seed=0).num_params() == want
+    assert sum(p.size for p in build_refine_net(seed=0).params()) == want
 
 
 def test_build_deterministic_from_seed():

@@ -239,7 +239,7 @@ def test_bilinear_gradient_matches_fd():
 
 
 def test_sigmoid_at_zero():
-    assert sigmoid(Tensor.scalar(0.0)).item() == 0.5
+    assert sigmoid(Tensor(0.0)).item() == 0.5
 
 
 def test_sigmoid_extreme_inputs_finite():
@@ -261,14 +261,14 @@ def test_global_sum_counts():
 
 def test_log_rejects_nonpositive():
     with pytest.raises(DomainError):
-        log(Tensor.scalar(0.0))
+        log(Tensor(0.0))
     with pytest.raises(DomainError):
-        log(Tensor.scalar(-1.0))
+        log(Tensor(-1.0))
 
 
 def test_reciprocal_rejects_zero():
     with pytest.raises(DomainError):
-        reciprocal(Tensor.scalar(0.0))
+        reciprocal(Tensor(0.0))
 
 
 def test_add_shape_mismatch():
@@ -278,7 +278,7 @@ def test_add_shape_mismatch():
 
 def test_add_broadcast_scalar_tensor():
     x = Tensor(np.ones((2, 1, 2, 2)))
-    b = Tensor.scalar(2.0)
+    b = Tensor(2.0)
     y = add(x, b)
     assert np.all(y.data == 3.0)
     backward(global_sum(y))
@@ -300,13 +300,13 @@ def test_clip_gradient_zero_outside():
 
 
 def test_backward_sigmoid_at_zero():
-    x = Tensor.scalar(0.0)
+    x = Tensor(0.0)
     backward(sigmoid(x))
     assert abs(x.grad.reshape(()) - 0.25) < 1e-15
 
 
 def test_backward_dead_relu():
-    x = Tensor.scalar(-1.0)
+    x = Tensor(-1.0)
     backward(relu(x))
     assert x.grad.reshape(()) == 0.0
 
@@ -318,7 +318,7 @@ def test_backward_rejects_nonscalar():
 
 
 def test_backward_accumulates_without_reset():
-    x = Tensor.scalar(2.0)
+    x = Tensor(2.0)
     loss = square(x)
     backward(loss)
     first = x.grad.copy()
@@ -331,7 +331,7 @@ def test_backward_accumulates_without_reset():
 
 def test_diamond_graph_gradient():
     # y = x*x + x*x reuses the same node twice; grad must be 4x
-    x = Tensor.scalar(1.5)
+    x = Tensor(1.5)
     s = square(x)
     backward(add(s, s))
     assert abs(x.grad.reshape(()) - 6.0) < 1e-15

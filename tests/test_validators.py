@@ -73,7 +73,7 @@ CASES = {
     "awl.tau": (lambda v: AdaptiveLossState(tau=v), at_most(0.0), ContractError),
     "weights": (weight_map_with, below(0.0) | above(1.0), DomainError),
     "gen.jitter_px": (lambda v: gen_synthetic(1, (32, 32), 1, v, seed=0), below(0.0), ContractError),
-    "infer.scales": (lambda v: ScaleSet((1.0, v)), at_most(0.0), ContractError),
+    "infer.scales": (lambda v: ScaleSet((1.0, v)), at_most(0.0) | above(4.0), ContractError),
     "probability": (probability_map_with, below(0.0) | above(1.0), DomainError),
     "eval.max_dist_fraction": (lambda v: tolerance_pixels(32, 48, v), at_most(0.0), ContractError),
     "combined.kappa": (lambda v: combined_loss_with(v, 1.0), below(0.0), ContractError),
