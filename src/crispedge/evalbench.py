@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
+from scipy.ndimage import gaussian_filter, maximum_filter
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .errors import ContractError, DomainError, ShapeError
 from .losses import AnnotationSet
@@ -185,16 +185,23 @@ def _neighbor_graphs(support: np.ndarray, gts: Sequence[np.ndarray],
     dys, half = _disk_rows(tol_px, h, w)
     ys, xs = np.nonzero(support)
     firsts = []    # per annotator, the number of its first pixel at or after (y, x)
+    annotated = np.zeros((h, w), dtype=bool)
     for gt in gts:
         first = np.zeros((h, w + 1), dtype=np.int64)
         np.cumsum(gt, axis=1, out=first[:, 1:])
         first[1:] += np.cumsum(first[:-1, -1])[:, None]
         firsts.append(first)
+        annotated |= gt
+    # a support pixel with no annotator pixel in the disk's bounding box has
+    # no edge, so only the others are searched
+    box = (2 * int(dys[-1]) + 1, 2 * int(half.max()) + 1)
+    near = np.flatnonzero(maximum_filter(annotated, size=box, mode="constant")[ys, xs])
     block = max(1, _PAIR_BUDGET // max(1, len(dys)))
-    graphs = [(np.empty(len(ys), dtype=np.int64), [np.zeros(0, dtype=np.int64)]) for _ in gts]
-    for start in range(0, len(ys), block):
-        y = ys[start:start + block, None] + dys
-        x = xs[start:start + block, None]
+    graphs = [(np.zeros(len(ys), dtype=np.int64), [np.zeros(0, dtype=np.int64)]) for _ in gts]
+    for start in range(0, len(near), block):
+        rows = near[start:start + block]
+        y = ys[rows, None] + dys
+        x = xs[rows, None]
         on_image = (y >= 0) & (y < h)
         y = np.clip(y, 0, h - 1)
         left = np.clip(x - half, 0, w)
@@ -202,24 +209,46 @@ def _neighbor_graphs(support: np.ndarray, gts: Sequence[np.ndarray],
         for first, (lengths, indices) in zip(firsts, graphs):
             lo = first[y, left]
             n = np.where(on_image, first[y, right] - lo, 0)
-            lengths[start:start + block] = n.sum(axis=1)
+            lengths[rows] = n.sum(axis=1)
             # each range lo, lo + 1, ..., lo + n - 1 in turn
             n = n.ravel()
             indices.append(np.arange(n.sum()) + np.repeat(lo.ravel() - (np.cumsum(n) - n), n))
     return [(lengths, np.concatenate(indices)) for lengths, indices in graphs]
 
 
-def _matched_rows(lengths: np.ndarray, indices: np.ndarray, n_gt: int) -> np.ndarray:
-    """Rows matched by a maximum-cardinality assignment over the neighbor
-    graph. Deterministic for a fixed graph."""
-    if len(indices) == 0:
-        return np.empty(0, dtype=np.int64)
-    indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    graph = csr_matrix((np.ones(len(indices), dtype=np.int8), indices, indptr),
-                       shape=(len(lengths), n_gt))
-    col_of_row = maximum_bipartite_matching(graph, perm_type="column")
-    return np.flatnonzero(col_of_row != -1)
+def _priority_matched(lengths: np.ndarray, indices: np.ndarray, n_gt: int,
+                      value: np.ndarray) -> np.ndarray:
+    """Rows of the greedy maximum matching over the neighbor graph: rows in
+    order of ``value`` descending, ties in row-major order, each kept when it
+    can join the rows kept so far in one matching. Rows of value 0 or below
+    never match.
+
+    The matchable row sets form a transversal matroid, so this greedy set is
+    the unique maximum-weight matched set under any distinct weights above 1
+    that order the rows that way. It is found by one sparse Jonker-Volgenant
+    assignment: the row of rank r (from 0) among m candidate rows weighs
+    ``m + 1 - r``, and each annotator pixel has a private dummy row of
+    weight 1, so a matching of every annotator pixel always exists. Every
+    prefix of the order, such as the rows at or above a threshold, keeps of
+    the greedy set a maximum matching of its own rows, whatever other rows
+    there are.
+    """
+    rows = np.flatnonzero((value > 0) & (lengths > 0))
+    if not len(rows):
+        return rows
+    # the assignment's cost grows with its row count, so rows without an
+    # edge are left out
+    weight = np.empty(len(rows))
+    weight[np.argsort(-value[rows], kind="stable")] = np.arange(len(rows) + 1, 1, -1)
+    counts = lengths[rows]
+    indptr = np.zeros(len(rows) + n_gt + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:len(rows) + 1])
+    indptr[len(rows) + 1:] = indptr[len(rows)] + np.arange(1, n_gt + 1)
+    data = np.concatenate([np.repeat(weight, counts), np.ones(n_gt)])
+    cols = np.concatenate([indices[np.repeat(value > 0, lengths)], np.arange(n_gt)])
+    graph = csr_matrix((data, cols, indptr), shape=(len(rows) + n_gt, n_gt))
+    matched, _ = min_weight_full_bipartite_matching(graph, maximize=True)
+    return rows[matched[matched < len(rows)]]
 
 
 def match_boundaries(detected, gt, tol_px: float) -> tuple[int, int]:
@@ -231,7 +260,8 @@ def match_boundaries(detected, gt, tol_px: float) -> tuple[int, int]:
     if det.shape != gtm.shape:
         raise ShapeError(f"detected {det.shape} and ground truth {gtm.shape} differ in shape")
     (lengths, indices), = _neighbor_graphs(det, [gtm], tol_px)
-    matched = len(_matched_rows(lengths, indices, np.count_nonzero(gtm)))
+    value = np.ones(len(lengths))
+    matched = len(_priority_matched(lengths, indices, np.count_nonzero(gtm), value))
     return matched, matched
 
 
@@ -271,40 +301,47 @@ def default_thresholds(n: int = 33) -> list[float]:
 def _counts_at_thresholds(base: np.ndarray, annotations: AnnotationSet,
                           thresholds: Sequence[float], tol_px: float) -> list[MatchCounts]:
     # the pairs within tolerance are searched once over the support
-    # ``base > 0``; the detections at a threshold t > 0 are a subset of it, and
-    # selecting their rows keeps the row-major order and sorted columns a
-    # search over ``base >= t`` alone would give, so the matching is the same.
-    # Recall sums each annotator's matches, while a detected pixel counts
-    # toward precision once no matter how many annotators it satisfies
+    # ``base > 0``, and each annotator is matched once for all thresholds by
+    # the greedy matching in order of value (``_priority_matched``). The
+    # pixels at or above a threshold are a prefix of that order, so their
+    # part of it is a maximum matching of them, the same on any threshold
+    # grid, and a pixel matched at one threshold stays matched at every lower
+    # one. A pixel's level is the number of thresholds it clears; pixels
+    # below every threshold are left out. Recall sums each annotator's
+    # matches, while a detected pixel counts toward precision once no matter
+    # how many annotators it satisfies
     on = base > 0.0
+    grid = np.sort(np.asarray(thresholds, dtype=np.float64))
     vals = base[on]
+    level = np.searchsorted(grid, vals, side="right")
+    value = np.where(level > 0, vals, 0.0)
+    # a pixel clears t exactly when its level reaches the rank of t
+    ranks = np.searchsorted(grid, thresholds, side="right")
     gts = annotations.maps > 0.5
-    graphs = [(lengths, indices, int(np.count_nonzero(gt)))
-              for (lengths, indices), gt in zip(_neighbor_graphs(on, gts, tol_px), gts)]
-    total_gt = sum(n_gt for _, _, n_gt in graphs)
-    out = []
-    last = None    # (detected, matched_detected, matched_gt) of the previous threshold
-    for t in thresholds:
-        keep = vals >= t
-        total_detected = int(np.count_nonzero(keep))
-        # the detected sets are nested, so an equal count means an equal set
-        if last is None or last[0] != total_detected:
-            matched_union = np.zeros(total_detected, dtype=bool)
-            matched_gt = 0
-            for lengths, indices, n_gt in graphs:
-                rows = _matched_rows(lengths[keep], indices[np.repeat(keep, lengths)], n_gt)
-                matched_gt += len(rows)
-                matched_union[rows] = True
-            last = (total_detected, int(matched_union.sum()), matched_gt)
-        out.append(MatchCounts(t, last[1], total_detected, last[2], total_gt))
-    return out
+    matched_union = np.zeros(len(level), dtype=bool)
+    matched_gt = np.zeros(len(grid) + 1, dtype=np.int64)
+    for (lengths, indices), gt in zip(_neighbor_graphs(on, gts, tol_px), gts):
+        rows = _priority_matched(lengths, indices, int(np.count_nonzero(gt)), value)
+        matched_gt += np.bincount(level[rows], minlength=len(grid) + 1)
+        matched_union[rows] = True
+    total_gt = int(np.count_nonzero(gts))
+
+    def at_or_above(counts):
+        return np.cumsum(counts[::-1])[::-1]
+
+    detected = at_or_above(np.bincount(level, minlength=len(grid) + 1))
+    union = at_or_above(np.bincount(level[matched_union], minlength=len(grid) + 1))
+    matched_gt = at_or_above(matched_gt)
+    return [MatchCounts(t, int(union[k]), int(detected[k]), int(matched_gt[k]), total_gt)
+            for t, k in zip(thresholds, ranks)]
 
 
 def pr_at_threshold(p, annotations: AnnotationSet, t: float, tol_px: float,
                     post_process: bool) -> MatchCounts:
-    """Binarize at ``p >= t`` (after post-processing when requested) and
-    match against every annotator in order. A negative or NaN ``tol_px``
-    raises ``ContractError``."""
+    """Score the detections ``p >= t`` (after post-processing when requested)
+    against every annotator in order; the counts are those of a threshold
+    sweep through ``t``. A negative or NaN ``tol_px`` raises
+    ``ContractError``."""
     if not 0.0 < t < 1.0:
         raise ContractError(f"threshold must be in (0, 1), got {t}")
     p = as_probability_map(p)

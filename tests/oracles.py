@@ -191,36 +191,40 @@ def sgd_scalar(p0, grads, lr, momentum, wd):
     return out
 
 
-def max_matching_loops(left_pts, right_pts, tol):
-    """Maximum-cardinality matching by augmenting paths (Kuhn's algorithm).
+def _disk_edges(left_pts, right_pts, tol):
+    """Per left point, the indices of the right points within Euclidean
+    distance ``tol``, ascending."""
+    return [[j for j, (ry, rx) in enumerate(right_pts) if math.hypot(ly - ry, lx - rx) <= tol]
+            for (ly, lx) in left_pts]
 
-    left_pts/right_pts are lists of (row, col); an edge exists when the
-    Euclidean distance is <= tol. Returns the matched-pair count.
-    """
-    adj = []
-    for (ly, lx) in left_pts:
-        row = []
-        for j, (ry, rx) in enumerate(right_pts):
-            if math.hypot(ly - ry, lx - rx) <= tol:
-                row.append(j)
-        adj.append(row)
-    match_right = [-1] * len(right_pts)
+
+def augmenting_path_matched(adj, order):
+    """Kuhn's algorithm: visit the left vertices in ``order``, each one kept
+    matched once an augmenting path from it is found, and return the set of
+    matched left vertices. ``adj`` lists each left vertex's neighbors."""
+    match_right = {}
 
     def try_augment(i, visited):
         for j in adj[i]:
             if j in visited:
                 continue
             visited.add(j)
-            if match_right[j] == -1 or try_augment(match_right[j], visited):
+            if j not in match_right or try_augment(match_right[j], visited):
                 match_right[j] = i
                 return True
         return False
 
-    count = 0
-    for i in range(len(left_pts)):
-        if try_augment(i, set()):
-            count += 1
-    return count
+    return {i for i in order if try_augment(i, set())}
+
+
+def max_matching_loops(left_pts, right_pts, tol):
+    """Maximum-cardinality matching by augmenting paths (Kuhn's algorithm).
+
+    left_pts/right_pts are lists of (row, col); an edge exists when the
+    Euclidean distance is <= tol. Returns the matched-pair count.
+    """
+    return len(augmenting_path_matched(_disk_edges(left_pts, right_pts, tol),
+                                       range(len(left_pts))))
 
 
 def neighbor_graph(det_pts, gt_pts, tol_px):
@@ -238,34 +242,25 @@ def neighbor_graph(det_pts, gt_pts, tol_px):
     return lengths, indices
 
 
-def counts_for_binary(det, gt_maps, tol):
-    """Per-threshold benchmark counts, one pair search per call.
+def priority_counts(p, gt_maps, t, tol):
+    """Benchmark counts at threshold ``t`` by the priority rule, one fresh
+    brute-force pair search and matching per annotator.
 
-    This is the literal protocol: the detected pixels of the binary map
-    ``det`` are matched against each annotator's pixels in turn through a
-    fresh KD-tree search (``neighbor_graph``) and scipy's Hopcroft-Karp, on a
-    graph whose rows are the detections in row-major order with ascending
-    columns. Recall sums the matches over annotators; a detected pixel counts
-    once toward precision however many annotators match it. Returns
-    (matched_detected, total_detected, matched_gt, total_gt).
+    The detections ``p >= t`` are visited by value, highest first, ties in
+    row-major order, and Kuhn's algorithm keeps each one that an augmenting
+    path can add to the matching. Recall sums the matches over annotators; a
+    detected pixel counts once toward precision however many annotators match
+    it. Returns (matched_detected, total_detected, matched_gt, total_gt).
     """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import maximum_bipartite_matching
-
-    det_pts = np.argwhere(det)
-    matched_union = np.zeros(len(det_pts), dtype=bool)
+    det_pts = [tuple(q) for q in np.argwhere(p >= t)]
+    order = sorted(range(len(det_pts)), key=lambda i: (-p[det_pts[i]], i))
+    matched_union = set()
     matched_gt = 0
     total_gt = 0
     for gt in gt_maps:
-        gt_pts = np.argwhere(gt > 0.5)
+        gt_pts = [tuple(q) for q in np.argwhere(gt > 0.5)]
         total_gt += len(gt_pts)
-        lengths, indices = neighbor_graph(det_pts, gt_pts, tol)
-        if not len(indices):
-            continue
-        indptr = np.concatenate([[0], np.cumsum(lengths)])
-        graph = csr_matrix((np.ones(len(indices), dtype=np.int8), indices, indptr),
-                           shape=(len(det_pts), len(gt_pts)))
-        rows = np.flatnonzero(maximum_bipartite_matching(graph, perm_type="column") != -1)
+        rows = augmenting_path_matched(_disk_edges(det_pts, gt_pts, tol), order)
         matched_gt += len(rows)
-        matched_union[rows] = True
-    return int(matched_union.sum()), len(det_pts), matched_gt, total_gt
+        matched_union |= rows
+    return len(matched_union), len(det_pts), matched_gt, total_gt

@@ -29,7 +29,7 @@ from crispedge.evalbench import (
 from crispedge.losses import AnnotationSet
 from crispedge.network import build_refine_net, predict
 
-from oracles import counts_for_binary, max_matching_loops, neighbor_graph
+from oracles import max_matching_loops, neighbor_graph, priority_counts
 
 
 def ring_mask(n=12):
@@ -56,8 +56,18 @@ def test_tolerance_linear_in_fraction():
     assert b == pytest.approx(2 * a, rel=1e-15)
 
 
-def test_depth_localness_fraction_exact():
-    assert 0.011 / 4 == 0.00275
+def test_localness_is_correctness_at_a_quarter_tolerance():
+    rng = np.random.default_rng(3)
+    p = gaussian_filter(rng.random((24, 24)), 1.0)
+    p = (p - p.min()) / (p.max() - p.min())
+    ann = AnnotationSet([(rng.random((24, 24)) > 0.8).astype(float) for _ in range(2)])
+    fraction = 0.2    # a quarter of the tolerance, 1.70 px, reaches diagonal neighbors
+    tol = tolerance_pixels(24, 24, fraction)
+    report = eval_criteria([p], [ann], fraction, n_thresholds=9)
+    counts = _counts_at_thresholds(nms_thin(p), ann, default_thresholds(9), tol / 4)
+    scores, curve = summarize([counts], criterion="localness")
+    assert report.localness.curve == curve
+    assert report.localness.scores == scores
 
 
 def test_tolerance_validation():
@@ -329,6 +339,35 @@ def test_match_equals_augmenting_path_oracle():
             assert md == want, f"trial {trial} tol {tol}"
 
 
+# the thickness matching of annotator 1 at threshold 18/34 on this crisp map,
+# 779 detections by 783 annotator pixels, is a graph on which scipy's
+# Hopcroft-Karp ran for minutes
+STALLED_GRAPH = """
+from scipy.ndimage import gaussian_filter
+from crispedge.data import gen_synthetic
+from crispedge.evalbench import _counts_at_thresholds, default_thresholds, tolerance_pixels
+from crispedge.losses import AnnotationSet
+
+sample = gen_synthetic(2, (321, 481), 3, 1.0, 0)[1]
+crisp = gaussian_filter(sample.true_boundary, 0.7)
+crisp /= crisp.max()
+counts = _counts_at_thresholds(crisp, AnnotationSet([sample.annotations.maps[1]]),
+                               default_thresholds(33), tolerance_pixels(321, 481, 0.0075))
+c = counts[17]
+print(c.threshold * 34, c.total_detected, c.matched_gt, c.total_gt)
+"""
+
+
+def test_matching_does_not_stall_on_a_crisp_bsds_map(run_python):
+    # a child process with a time limit turns a stall into a failure instead
+    # of a hung suite
+    proc = run_python("-c", STALLED_GRAPH, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    threshold, detected, matched, total = proc.stdout.split()
+    assert float(threshold) == pytest.approx(18.0)
+    assert (detected, matched, total) == ("779", "777", "783")
+
+
 # ---------------------------------------------------------------------------
 # per-threshold counting
 
@@ -422,8 +461,10 @@ def random_score_case(rng):
 
 
 def test_all_threshold_counts_equal_per_threshold_search():
-    # one pair search over the support must give each threshold exactly the
-    # counts, precision union included, of a fresh search over p >= t alone
+    # one pair search and one matching per annotator over the support must
+    # give each threshold exactly the counts, precision union included, of a
+    # fresh priority matching over p >= t alone, and recall must be that of a
+    # maximum matching
     rng = np.random.default_rng(11)
     thresholds = default_thresholds(9)
     for trial in range(40):
@@ -432,11 +473,10 @@ def test_all_threshold_counts_equal_per_threshold_search():
             got = _counts_at_thresholds(p, AnnotationSet(maps), thresholds, tol)
             assert [c.threshold for c in got] == thresholds
             for c, t in zip(got, thresholds):
-                det = p >= t
-                want = counts_for_binary(det, maps, tol)
+                want = priority_counts(p, maps, t, tol)
                 assert (c.matched_detected, c.total_detected, c.matched_gt, c.total_gt) == want, \
                     f"trial {trial} tol {tol} t {t}"
-                det_pts = [tuple(q) for q in np.argwhere(det)]
+                det_pts = [tuple(q) for q in np.argwhere(p >= t)]
                 recall_pairs = sum(max_matching_loops(det_pts, [tuple(q) for q in np.argwhere(m)], tol)
                                    for m in maps)
                 assert c.matched_gt == recall_pairs, f"trial {trial} tol {tol} t {t}"
@@ -452,9 +492,46 @@ def test_all_threshold_counts_after_post_processing():
         thin = nms_thin(p)
         got = _counts_at_thresholds(thin, AnnotationSet(maps), thresholds, 1.5)
         for c, t in zip(got, thresholds):
-            want = counts_for_binary(thin >= t, maps, 1.5)
+            want = priority_counts(thin, maps, t, 1.5)
             assert (c.matched_detected, c.total_detected, c.matched_gt, c.total_gt) == want
             assert c == pr_at_threshold(p, AnnotationSet(maps), t, 1.5, post_process=True)
+
+
+@st.composite
+def score_case(draw):
+    """A map of 2x2 to 12x12 with values on a few levels or continuous, with
+    zeros, one or two annotators, a tolerance and a threshold grid."""
+    h = draw(st.integers(2, 12), label="h")
+    w = draw(st.integers(2, 12), label="w")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    if draw(st.booleans(), label="levelled"):
+        p = rng.integers(0, 6, (h, w)) / 5.0
+    else:
+        p = rng.random((h, w)) * (rng.random((h, w)) > 0.3)
+    density = draw(st.sampled_from([0.1, 0.3, 0.6]), label="density")
+    maps = [(rng.random((h, w)) < density).astype(float)
+            for _ in range(draw(st.integers(1, 2), label="annotators"))]
+    tol = draw(st.sampled_from([0.0, 1.0, 1.5, 3.0]), label="tol")
+    return p, maps, tol, default_thresholds(draw(st.integers(1, 33), label="n_thresholds"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=score_case())
+def test_matched_counts_never_rise_with_the_threshold(case):
+    p, maps, tol, thresholds = case
+    counts = _counts_at_thresholds(p, AnnotationSet(maps), thresholds, tol)
+    for lower, higher in zip(counts, counts[1:]):
+        assert higher.matched_detected <= lower.matched_detected
+        assert higher.matched_gt <= lower.matched_gt
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=score_case(), pick=st.integers(0, 32))
+def test_counts_at_a_threshold_do_not_depend_on_the_grid(case, pick):
+    p, maps, tol, thresholds = case
+    t = thresholds[pick % len(thresholds)]
+    swept = _counts_at_thresholds(p, AnnotationSet(maps), thresholds, tol)
+    assert swept[thresholds.index(t)] == _counts_at_thresholds(p, AnnotationSet(maps), [t], tol)[0]
 
 
 # ---------------------------------------------------------------------------
