@@ -257,8 +257,6 @@ def _read_prediction(path):
 
 def _cmd_eval(cfg, args):
     manifest = load_manifest(args.manifest)
-    if not manifest.entries:
-        raise ValidationError(f"{args.manifest}: empty manifest")
     preds, anns = [], []
     for entry in manifest.entries:
         preds.append(_read_prediction(entry.image_path))

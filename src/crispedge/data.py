@@ -7,6 +7,7 @@ displacement of the outline along its normal, bounded by ``jitter_px``.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -361,7 +362,7 @@ def read_crb(path):
         raise ParseError(f"{path}: truncated dims at byte 8: "
                          f"expected {4 * ndim} bytes, {len(raw) - 8} available")
     dims = struct.unpack(f"<{ndim}I", raw[8:dims_end])
-    need = 8 * int(np.prod(dims))
+    need = 8 * math.prod(dims)
     have = len(raw) - dims_end
     if have < need:
         raise ParseError(f"{path}: truncated payload at byte {dims_end}: "
@@ -427,6 +428,8 @@ def load_manifest(path):
             if not os.path.exists(p):
                 raise ValidationError(f"{path}:{lineno}: missing file '{p}'")
         entries.append(ManifestEntry(sid, resolved_img, resolved_anns, split))
+    if not entries:
+        raise ValidationError(f"{path}: empty manifest")
     return DatasetManifest(entries)
 
 

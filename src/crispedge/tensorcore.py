@@ -19,9 +19,8 @@ from .errors import ContractError, DomainError, ShapeError
 
 Shape = tuple[int, int, int, int]
 
-# A conv2d forward whose im2col view would exceed this many elements runs
-# over blocks of output rows. A batch of ten 64x64 images stays below it in
-# every layer of the default network, so training arithmetic is unchanged.
+# Most elements in one block of a conv2d forward's column buffer; a batch of
+# ten 64x64 images is one block in every conv of the default network.
 _IM2COL_BUDGET = 1 << 22
 
 _recording = True
@@ -256,21 +255,25 @@ def global_sum(x: Tensor) -> Tensor:
 # spatial operations
 
 
-def _conv_forward(view: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Contract an im2col view (B,C,KH,KW,OH,OW) with a kernel (O,C,KH,KW).
+def _columns(view: np.ndarray) -> np.ndarray:
+    """Copy an im2col view (B,C,KH,KW,R,OW) into GEMM columns (C*KH*KW, B*R*OW)."""
+    b, c, kh, kw, r, ow = view.shape
+    return view.transpose(1, 2, 3, 0, 4, 5).reshape(c * kh * kw, b * r * ow)
 
-    A view over ``_IM2COL_BUDGET`` elements is contracted over blocks of
-    output rows, so the copy einsum makes of it stays bounded. A 1x1 view is
-    the input itself and is never split.
-    """
+
+def _conv_forward(view: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Multiply a kernel (O,C,KH,KW) by the columns of an im2col view
+    (B,C,KH,KW,OH,OW) one block of output rows at a time; a block holds at
+    most ``_IM2COL_BUDGET`` column elements, so a small input is one block."""
     b, c, kh, kw, oh, ow = view.shape
-    if kh * kw == 1 or view.size <= _IM2COL_BUDGET:
-        return np.einsum("bcijhw,ocij->bohw", view, kernel, optimize=True)
-    y = np.empty((b, kernel.shape[0], oh, ow))
-    rows = max(1, _IM2COL_BUDGET // (b * c * kh * kw * ow))
+    o = kernel.shape[0]
+    weights = kernel.reshape(o, c * kh * kw)
+    y = np.empty((b, o, oh, ow))
+    rows = max(1, _IM2COL_BUDGET // max(1, b * c * kh * kw * ow))
     for r in range(0, oh, rows):
-        y[:, :, r:r + rows] = np.einsum("bcijhw,ocij->bohw", view[..., r:r + rows, :], kernel,
-                                        optimize=True)
+        n = min(rows, oh - r)
+        part = weights @ _columns(view[..., r:r + n, :])  # frees the columns
+        y[:, :, r:r + n] = part.reshape(o, b, n, ow).swapaxes(0, 1)
     return y
 
 
@@ -292,18 +295,14 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     s = xp.strides
-    view = np.lib.stride_tricks.as_strided(
-        xp, (b, c, kh, kw, oh, ow),
-        (s[0], s[1], s[2], s[3], s[2] * stride, s[3] * stride))
+    view = np.lib.stride_tricks.as_strided(xp, (b, c, kh, kw, oh, ow),
+                                           s + (s[2] * stride, s[3] * stride))
 
     def grad_fn(g: np.ndarray) -> None:
-        # dk is one GEMM of g, (O, B*OH*OW), with the taps of the view copied
-        # into one column buffer, (C*KH*KW, B*OH*OW). The buffer is freed
-        # before dx builds its own product of the same size.
-        cols = view.transpose(1, 2, 3, 0, 4, 5).reshape(c * kh * kw, -1)
-        g_rows = g.transpose(1, 0, 2, 3).reshape(o, -1)
-        _accumulate(kernel, (g_rows @ cols.T).reshape(o, c, kh, kw))
-        del cols, g_rows
+        # dk is one GEMM of g, (O, B*OH*OW), with the view's columns, a
+        # temporary freed before dx builds its own product of the same size
+        _accumulate(kernel, (g.swapaxes(0, 1).reshape(o, -1) @ _columns(view).T)
+                    .reshape(o, c, kh, kw))
         # dx: every tap's contribution in one batched matmul, then scattered
         # back tap by tap onto the padded input
         taps = (kernel.data.reshape(o, -1).T @ g.reshape(b, o, oh * ow)).reshape(

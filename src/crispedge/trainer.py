@@ -168,12 +168,11 @@ class AblationRow:
 
 def ablation_run(dataset, topology=None, modes=ABLATION_MODES, config=TrainConfig()):
     """Train one network per loss mode from a shared seed; returns the rows."""
+    if not holdout_split([s.id for s in dataset], config.holdout_fraction):
+        raise ContractError("ablation needs a non-empty holdout split")
     rows = []
     for mode in modes:
-        cfg = dataclasses.replace(config, loss_mode=mode)
-        _, report = train(dataset, topology, cfg)
-        if report.scores is None:
-            raise ContractError("ablation needs a non-empty holdout split")
+        _, report = train(dataset, topology, dataclasses.replace(config, loss_mode=mode))
         rows.append(AblationRow(
             mode=mode,
             ods_c=report.scores.correctness.scores.ods,

@@ -1,4 +1,5 @@
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -306,8 +307,9 @@ def test_bad_loss_mode_exits_3(tmp_path, capsys):
 def exit_case_inputs(tmp_path):
     """Small inputs for the exit-code table: one-image eval manifests with a
     PGM, a finite CRB, a NaN CRB and a one-row CRB prediction, infer's params
-    and image, each also with a NaN, a two-sample training set, and a manifest
-    and a config file that hold a non-ASCII byte."""
+    and image, each also with a NaN, a two-sample training set, a manifest
+    and a config file that hold a non-ASCII byte, an empty manifest, and a
+    CRB whose header dims overflow int64 with no payload."""
     rng = np.random.default_rng(4)
     ann = np.zeros((16, 16))
     ann[8, 2:14] = 1.0
@@ -334,6 +336,9 @@ def exit_case_inputs(tmp_path):
     (tmp_path / "latin.tsv").write_bytes(b"x\tpr\xe9d.crb\tann.pgm\ttest\n")
     (tmp_path / "latin.cfg").write_bytes(b"# caf\xe9\ngen.count = 2\n")
     save_dataset(gen_synthetic(2, (24, 24), 2, 1.0, seed=1), str(tmp_path / "ds"))
+    (tmp_path / "empty.tsv").write_text("")
+    (tmp_path / "huge.crb").write_bytes(b"CRB1" + struct.pack("<4I", 3, 2**31, 2**31, 4))
+    (tmp_path / "huge.tsv").write_text("x\thuge.crb\tann.pgm\ttest\n")
 
 
 EXIT_CASES = [
@@ -368,6 +373,12 @@ EXIT_CASES = [
      "infer --params {dir}/params.crb --image {dir}/nan-image.crb --out {dir}/p.crb", 5),
     ("gen-negative-seed", "gen --count 1 --height 24 --width 24 --seed -1 --out-dir {dir}/g", 3),
     ("gradcheck-negative-seed", "gradcheck --seed -1", 3),
+    ("eval-empty-manifest", "eval --manifest {dir}/empty.tsv --out-dir {dir}/e", 4),
+    ("train-empty-manifest", "train --manifest {dir}/empty.tsv --epochs 1 --out-dir {dir}/t", 4),
+    ("ablate-empty-manifest", "ablate --manifest {dir}/empty.tsv --epochs 1 --out-dir {dir}/a", 4),
+    ("eval-crb-dims-overflow", "eval --manifest {dir}/huge.tsv --out-dir {dir}/e", 4),
+    ("infer-crb-dims-overflow",
+     "infer --params {dir}/params.crb --image {dir}/huge.crb --out {dir}/p.crb", 4),
 ]
 
 

@@ -1,4 +1,5 @@
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -234,6 +235,15 @@ def test_crb_implausible_ndim(tmp_path):
         read_crb(str(p))
 
 
+def test_crb_dims_past_int64_name_the_missing_payload(tmp_path):
+    # 8 * 2**31 * 2**31 * 4 bytes wraps to 0 in int64, which matched the
+    # empty payload and left the failure to reshape
+    p = tmp_path / "huge.crb"
+    p.write_bytes(b"CRB1" + struct.pack("<4I", 3, 2**31, 2**31, 4))
+    with pytest.raises(ParseError, match=f"expected {2**67} bytes, 0 available"):
+        read_crb(str(p))
+
+
 def test_raster_dispatch(tmp_path):
     t = Tensor(np.random.default_rng(3).random((6, 6)))
     pgm = str(tmp_path / "r.pgm")
@@ -277,6 +287,13 @@ def test_manifest_malformed_line(tmp_path):
     mp = tmp_path / "m.tsv"
     mp.write_text("a\tonly-two-fields\n")
     with pytest.raises(ParseError, match=":1:"):
+        load_manifest(str(mp))
+
+
+def test_manifest_without_entries_is_rejected(tmp_path):
+    mp = tmp_path / "m.tsv"
+    mp.write_text("\n\n")
+    with pytest.raises(ValidationError, match="empty manifest"):
         load_manifest(str(mp))
 
 

@@ -64,20 +64,25 @@ def test_conv_matches_nested_loop_oracle():
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
-def _default_3x3_conv_shapes(h, w):
-    """(out, in, stride, input h, input w) of every 3x3 conv in the default
-    network on an h x w image: the encoder stages and each block's weight conv."""
+def _default_conv_shapes(h, w):
+    """(out, in, kernel size, stride, input h, input w) of every conv in the
+    default network on an h x w image: the 3x3 encoder stages and weight
+    convs, the 1x1 projections and the 1x1 head."""
     topo = default_topology()
     shapes, c, sizes = [], topo.in_channels, {1: (h, w)}
     for st, scale in zip(topo.encoder_stages, topo.stage_scales()):
         ih, iw = sizes[scale // st.stride]
-        shapes.append((st.channels, c, st.stride, ih, iw))
+        shapes.append((st.channels, c, 3, st.stride, ih, iw))
         sizes[scale] = (-(-ih // st.stride), -(-iw // st.stride))
         c = st.channels
     known = topo.validate()
     for level in topo.refine_levels:
         for spec in level:
-            shapes.append((spec.out_channels, spec.out_channels, 1) + sizes[known[spec.name][1]])
+            for src, scale in spec.input_slots:
+                if known[src][0] != spec.out_channels:
+                    shapes.append((spec.out_channels, known[src][0], 1, 1) + sizes[scale])
+            shapes.append((spec.out_channels, spec.out_channels, 3, 1) + sizes[known[spec.name][1]])
+    shapes.append((1, known[topo.head_source()][0], 1, 1, h, w))
     return shapes
 
 
@@ -86,20 +91,28 @@ def test_chunked_conv_forward_bit_exact_at_double_bsds_size():
 
     rng = np.random.default_rng(12)
     chunked = 0
-    for o, c, stride, h, w in _default_3x3_conv_shapes(642, 962):
+    for o, c, k, stride, h, w in _default_conv_shapes(642, 962):
+        pad = k // 2
         x = Tensor(rng.standard_normal((1, c, h, w)))
-        k = Tensor(rng.standard_normal((o, c, 3, 3)))
+        kernel = Tensor(rng.standard_normal((o, c, k, k)))
         with no_grad():
-            got = conv2d(x, k, stride=stride, padding=1).data
-        xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)))
+            got = conv2d(x, kernel, stride=stride, padding=pad).data
+        xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
         s = xp.strides
         view = np.lib.stride_tricks.as_strided(
-            xp, (1, c, 3, 3) + got.shape[2:], s + (s[2] * stride, s[3] * stride))
+            xp, (1, c, k, k) + got.shape[2:], s + (s[2] * stride, s[3] * stride))
         chunked += view.size > _IM2COL_BUDGET
-        want = np.einsum("bcijhw,ocij->bohw", view, k.data, optimize=True)
-        assert np.array_equal(got, want), (o, c, stride, h, w)
+        want = np.einsum("bcijhw,ocij->bohw", view, kernel.data, optimize=True)
+        if o > 1:
+            assert np.array_equal(got, want), (o, c, k, stride, h, w)
+        else:
+            # a one-row product runs in BLAS's matrix-vector kernel, whose
+            # vector tail and thread split move with each block's column
+            # count: the few outputs there may take another summation order
+            terms = np.einsum("bcijhw,ocij->bohw", np.abs(view), np.abs(kernel.data), optimize=True)
+            assert np.all(np.abs(got - want) <= 2 * c * k * k * np.finfo(float).eps * terms)
         del x, xp, view, want, got
-    assert chunked == 7
+    assert chunked == 8
 
 
 def test_conv_channel_mismatch():
@@ -174,6 +187,26 @@ def test_conv_backward_scratch_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * cols_bytes
+
+
+def test_conv_forward_scratch_is_one_block():
+    # an 8-channel 3x3 conv at 512x512: its whole column buffer would hold
+    # 8*9 x 512*512 doubles (151 MB), over four blocks of _IM2COL_BUDGET
+    rng = np.random.default_rng(4)
+    xp = np.pad(rng.standard_normal((1, 8, 512, 512)), ((0, 0), (0, 0), (1, 1), (1, 1)))
+    s = xp.strides
+    view = np.lib.stride_tricks.as_strided(xp, (1, 8, 3, 3, 512, 512), s + s[2:])
+    kernel = rng.standard_normal((8, 8, 3, 3))
+    block_bytes = 8 * tensorcore._IM2COL_BUDGET
+    assert view.nbytes > 4 * block_bytes
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        y = tensorcore._conv_forward(view, kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - y.nbytes < 1.25 * block_bytes
 
 
 # ---------------------------------------------------------------------------

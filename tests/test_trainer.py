@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from crispedge import trainer
 from crispedge.data import gen_synthetic
 from crispedge.errors import ContractError, ShapeError, TrainingError
 from crispedge.network import build_refine_net, default_topology
@@ -188,6 +189,15 @@ def test_ablation_rows_and_equivalence():
     lines = csv.strip().split("\n")
     assert lines[0] == "mode,ods_c,ods_l,ods_t"
     assert lines[1].startswith("sce,")
+
+
+def test_ablation_checks_the_holdout_before_training(monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("train was called")
+
+    monkeypatch.setattr(trainer, "train", no_training)
+    with pytest.raises(ContractError, match="non-empty holdout"):
+        ablation_run(tiny_set(4), config=TrainConfig(epochs=1, holdout_fraction=0.0))
 
 
 def test_loss_trace_csv_shapes():
