@@ -303,12 +303,27 @@ def build_refine_net(topology: NetworkTopology | None = None, seed: int = 0) -> 
     return RefineNet(topology, encoder_kernels, blocks, head_kernel, head_bias)
 
 
+def _float32_copy(net: RefineNet) -> RefineNet:
+    """The same network with float32 copies of its parameter values, as
+    leaf tensors; call inside ``no_grad()``."""
+    def cast(p):
+        return Tensor(p.data.astype(np.float32))
+
+    blocks = [RefineBlock(b.spec, {src: cast(k) for src, k in b.projections.items()},
+                          WeightConvLayer(cast(b.wconv.kernel), cast(b.wconv.alpha)))
+              for b in net.blocks]
+    return RefineNet(net.topology, [cast(k) for k in net.encoder_kernels], blocks,
+                     cast(net.head_kernel), cast(net.head_bias))
+
+
 def predict(net: RefineNet, image: Tensor) -> np.ndarray:
-    """Single graph-free forward pass; returns the H x W probability map."""
+    """Single graph-free forward pass in float32 on copies of the image and
+    of the parameters; returns the H x W probability map as float64."""
     if image.shape[0] != 1:
         raise ContractError(f"predict takes a single-image batch, got batch {image.shape[0]}")
     with no_grad():
-        return net.forward(image).data[0, 0].copy()
+        out = _float32_copy(net).forward(Tensor(image.data.astype(np.float32)))
+    return out.data[0, 0].astype(np.float64)
 
 
 def predict_multiscale(net: RefineNet, image: Tensor, scales: ScaleSet = ScaleSet()) -> np.ndarray:

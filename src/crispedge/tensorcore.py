@@ -1,10 +1,13 @@
 """Dense 4-D tensors with reverse-mode differentiation and SGD-with-momentum.
 
 Every tensor carries a (batch, channels, height, width) shape and float64
-values. Operations record their inputs and a gradient closure on the output
+values, or float32 values inside ``no_grad()``. Operations compute in their
+inputs' dtype, record their inputs and a gradient closure on the output
 tensor; ``backward`` replays them in reverse topological order. Inside
 ``no_grad()`` nothing is recorded: every result is a leaf, so inference holds
-no inputs, masks or padded copies. Scalars are (1, 1, 1, 1) tensors.
+no inputs, masks or padded copies. A float32 tensor built while recording is a
+``ContractError``, so every graph, and with it training and gradient checks,
+is float64. Scalars are (1, 1, 1, 1) tensors.
 """
 
 from __future__ import annotations
@@ -40,7 +43,11 @@ def no_grad():
 
 
 def _as_data(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
+    arr = np.asarray(values)
+    if arr.dtype != np.float32:
+        arr = arr.astype(np.float64, copy=False)
+    elif _recording:
+        raise ContractError("float32 tensors exist only inside no_grad(); graphs are float64")
     if arr.ndim == 0:
         arr = arr.reshape(1, 1, 1, 1)
     elif arr.ndim == 2:
@@ -188,7 +195,7 @@ def add(a: Tensor, b) -> Tensor:
 
         return Tensor(a.data + b.data, (a, b), grad_fn)
 
-    const = np.asarray(b, dtype=np.float64)
+    const = np.asarray(b, dtype=a.data.dtype)
     return Tensor(a.data + const, (a,), lambda g: _accumulate(a, _unbroadcast(g, a.shape)))
 
 
@@ -204,7 +211,7 @@ def mul(a: Tensor, b) -> Tensor:
 
         return Tensor(a.data * b.data, (a, b), grad_fn)
 
-    const = np.asarray(b, dtype=np.float64)
+    const = np.asarray(b, dtype=a.data.dtype)
     return Tensor(a.data * const, (a,), lambda g: _accumulate(a, _unbroadcast(g * const, a.shape)))
 
 
@@ -268,7 +275,7 @@ def _conv_forward(view: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     b, c, kh, kw, oh, ow = view.shape
     o = kernel.shape[0]
     weights = kernel.reshape(o, c * kh * kw)
-    y = np.empty((b, o, oh, ow))
+    y = np.empty((b, o, oh, ow), np.result_type(view, kernel))
     rows = max(1, _IM2COL_BUDGET // max(1, b * c * kh * kw * ow))
     for r in range(0, oh, rows):
         n = min(rows, oh - r)
@@ -323,29 +330,28 @@ def resize_weights(src: int, dst: int) -> np.ndarray:
 
     Source coordinate of target index t is (t + 0.5) * src/dst - 0.5, clamped
     to the valid range. Rows sum to 1; when dst == src the matrix is exactly
-    the identity.
+    the identity. Callers cast it to the dtype of the data they resize.
     """
+    t = np.arange(dst)
+    pos = np.clip((t + 0.5) * (src / dst) - 0.5, 0.0, src - 1.0)
+    i0 = np.floor(pos).astype(np.intp)
+    i1 = np.minimum(i0 + 1, src - 1)
+    frac = pos - i0
     w = np.zeros((dst, src))
-    scale = src / dst
-    for t in range(dst):
-        pos = min(max((t + 0.5) * scale - 0.5, 0.0), src - 1.0)
-        i0 = int(np.floor(pos))
-        i1 = min(i0 + 1, src - 1)
-        frac = pos - i0
-        w[t, i0] += 1.0 - frac
-        w[t, i1] += frac
+    w[t, i0] = 1.0 - frac
+    w[t, i1] += frac    # i1 == i0 at the clamped end: the row sums to 1 there too
     return w
 
 
 def resize_array(data: np.ndarray, target_h: int, target_w: int) -> np.ndarray:
-    """Bilinear resize of the trailing two axes of a plain array."""
+    """Bilinear resize of the trailing two axes of a plain float array, in
+    its dtype."""
     h, w = data.shape[-2], data.shape[-1]
     if target_h == h and target_w == w:
         return data.copy()
-    wh = resize_weights(h, target_h)
-    ww = resize_weights(w, target_w)
-    tmp = np.einsum("th,...hw->...tw", wh, data, optimize=True)
-    return np.einsum("uw,...tw->...tu", ww, tmp, optimize=True)
+    wh = resize_weights(h, target_h).astype(data.dtype, copy=False)
+    ww = resize_weights(w, target_w).astype(data.dtype, copy=False)
+    return (wh @ data) @ ww.T
 
 
 def bilinear_resize(x: Tensor, target_h: int, target_w: int) -> Tensor:
@@ -355,14 +361,13 @@ def bilinear_resize(x: Tensor, target_h: int, target_w: int) -> Tensor:
     _, _, h, w = x.shape
     if target_h == h and target_w == w:
         return Tensor(x.data, (x,), lambda g: _accumulate(x, g))
-    wh = resize_weights(h, target_h)
-    ww = resize_weights(w, target_w)
-    y = np.einsum("uw,th,bchw->bctu", ww, wh, x.data, optimize=True)
+    wh = resize_weights(h, target_h).astype(x.data.dtype, copy=False)
+    ww = resize_weights(w, target_w).astype(x.data.dtype, copy=False)
 
     def grad_fn(g: np.ndarray) -> None:
-        _accumulate(x, np.einsum("uw,th,bctu->bchw", ww, wh, g, optimize=True))
+        _accumulate(x, (wh.T @ g) @ ww)
 
-    return Tensor(y, (x,), grad_fn)
+    return Tensor((wh @ x.data) @ ww.T, (x,), grad_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,21 @@ def test_infer_scales_one_equals_plain(tmp_path, capsys):
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
+def test_infer_lies_within_float32_bound_of_float64_forward(tmp_path, capsys):
+    # infer predicts in float32; see F32_ATOL in test_network.py
+    net = build_refine_net(default_topology(), seed=4)
+    params = str(tmp_path / "params.crb")
+    write_crb(params, np.concatenate([p.data.ravel() for p in net.params()]))
+    image = np.random.default_rng(4).uniform(0, 1, (40, 56))
+    write_crb(str(tmp_path / "image.crb"), image)
+    out = str(tmp_path / "p.crb")
+    code, _, err = invoke(capsys, "infer", "--params", params, "--image",
+                          str(tmp_path / "image.crb"), "--out", out)
+    assert code == 0, err
+    want = net.forward(tc.Tensor(image)).data[0, 0]
+    assert np.allclose(read_crb(out), want, rtol=0, atol=32 * float(np.finfo(np.float32).eps))
+
+
 def test_infer_multiscale_runs(tmp_path, capsys):
     manifest, samples = make_dataset(tmp_path, n=2)
     tdir = str(tmp_path / "t")

@@ -497,6 +497,29 @@ def test_no_grad_results_are_leaves_and_recording_resumes():
     assert after._parents == (x,) and after._grad_fn is not None
 
 
+def test_float32_only_inside_no_grad_and_every_op_keeps_it():
+    rng = np.random.default_rng(14)
+    x64 = rng.uniform(0.5, 1.5, (1, 2, 6, 6))
+    k64 = rng.standard_normal((3, 2, 3, 3))
+    for make in (Tensor, Parameter):
+        with pytest.raises(ContractError):
+            make(x64.astype(np.float32))
+    assert Tensor(x64.astype(np.float16)).data.dtype == np.float64
+    with no_grad():
+        x = Tensor(x64.astype(np.float32))
+        k = Tensor(k64.astype(np.float32))
+        outs = [
+            add(x, x), add(x, 1.0), mul(x, x), mul(x, 2.0), relu(x), sigmoid(x), exp(x),
+            log(x), square(x), reciprocal(x), clip(x, 0.8, 1.2), global_sum(x),
+            conv2d(x, k, padding=1), conv2d(x, k, stride=2), bilinear_resize(x, 6, 6),
+            bilinear_resize(x, 9, 4), bilinear_resize(x, 3, 11),
+        ]
+    assert [t.data.dtype for t in outs] == [np.dtype(np.float32)] * len(outs)
+    assert resize_array(x64[0, 0].astype(np.float32), 9, 4).dtype == np.float32
+    with pytest.raises(ContractError):
+        relu(x)   # a float32 leaf cannot enter a recorded graph
+
+
 def test_every_tensor_op_has_a_gradcheck_row():
     # global_sum needs no row: every row's loss ends in it
     covered = {name for name, _, _ in OP_CASES} | {"global_sum"}
