@@ -105,7 +105,7 @@ def composite_error(seed):
     topo = NetworkTopology(
         in_channels=1,
         encoder_stages=(StageSpec(4, 1), StageSpec(8, 2)),
-        refine_levels=((RefineBlockSpec("r0", (("enc1", 1), ("enc2", 2)), "adjacent", 4),),),
+        refine_levels=((RefineBlockSpec("r0", (("enc1", 1), ("enc2", 2))),),),
     )
     net = build_refine_net(topo, seed=seed)
     rng = np.random.default_rng([seed, 99])

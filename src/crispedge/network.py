@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, ShapeError, TopologyError
+from .errors import ContractError, DomainError, ShapeError, TopologyError
 from .tensorcore import (
     Parameter,
     Tensor,
@@ -43,15 +43,10 @@ class RefineBlockSpec:
 
     ``input_slots`` lists (source id, resolution denominator) pairs, finest
     first; sources are encoder stages ("enc1"...) or earlier blocks by name.
-    ``kind`` is "skip" (2 inputs spanning a 4x resolution gap) or "adjacent"
-    (up to 3 inputs at neighboring resolutions). ``out_channels`` must equal
-    the smallest input channel count.
     """
 
     name: str
     input_slots: tuple[tuple[str, int], ...]
-    kind: str
-    out_channels: int
 
 
 @dataclass(frozen=True)
@@ -60,28 +55,25 @@ class NetworkTopology:
     encoder_stages: tuple[StageSpec, ...]
     refine_levels: tuple[tuple[RefineBlockSpec, ...], ...]
 
-    def stage_scales(self) -> list[int]:
-        scales = []
-        denom = 1
-        for st in self.encoder_stages:
-            denom *= st.stride
-            scales.append(denom)
-        return scales
-
     def validate(self) -> dict[str, tuple[int, int]]:
         """Check wiring and return {source id: (channels, scale denominator)}.
 
-        Raises TopologyError on dangling references, wrong channel counts, or
-        connection patterns outside the skip/adjacent contracts.
+        A block fuses 1 to 3 inputs at neighboring resolutions (each step at
+        most 2x) or exactly 2 inputs 4x apart. It has its smallest input
+        channel count and its finest input's resolution. Raises
+        TopologyError on dangling references, misdeclared scales, or inputs
+        outside that rule.
         """
         if self.in_channels < 1:
             raise TopologyError(f"in_channels must be >= 1, got {self.in_channels}")
         if not self.encoder_stages:
             raise TopologyError("topology needs at least one encoder stage")
         known: dict[str, tuple[int, int]] = {}
-        for i, (st, scale) in enumerate(zip(self.encoder_stages, self.stage_scales()), start=1):
+        scale = 1
+        for i, st in enumerate(self.encoder_stages, start=1):
             if st.channels < 1 or st.stride < 1:
                 raise TopologyError(f"encoder stage {i} has invalid channels/stride {st}")
+            scale *= st.stride
             known[f"enc{i}"] = (st.channels, scale)
         if not self.refine_levels or not self.refine_levels[-1]:
             raise TopologyError("topology needs at least one refine level with one block")
@@ -91,43 +83,24 @@ class NetworkTopology:
                     raise TopologyError(f"duplicate block name {spec.name!r}")
                 if not spec.input_slots:
                     raise TopologyError(f"block {spec.name!r} has no inputs")
-                chans, scales = [], []
                 for src, declared_scale in spec.input_slots:
                     if src not in known:
                         raise TopologyError(f"block {spec.name!r} references unknown source {src!r}")
-                    ch, sc = known[src]
-                    if sc != declared_scale:
+                    if known[src][1] != declared_scale:
                         raise TopologyError(
                             f"block {spec.name!r} declares source {src!r} at 1/{declared_scale}, "
-                            f"but it lives at 1/{sc}")
-                    chans.append(ch)
-                    scales.append(sc)
-                if spec.out_channels != min(chans):
-                    raise TopologyError(
-                        f"block {spec.name!r} out_channels {spec.out_channels} must equal the "
-                        f"smallest input channel count {min(chans)}")
+                            f"but it lives at 1/{known[src][1]}")
+                chans, scales = zip(*(known[src] for src, _ in spec.input_slots))
                 if list(scales) != sorted(scales):
                     raise TopologyError(f"block {spec.name!r} inputs must be listed finest first")
-                if spec.kind == "skip":
-                    if len(spec.input_slots) != 2:
-                        raise TopologyError(f"skip block {spec.name!r} needs exactly 2 inputs")
-                    if max(scales) != 4 * min(scales):
-                        raise TopologyError(
-                            f"skip block {spec.name!r} needs a 4x resolution gap, got {scales}")
-                elif spec.kind == "adjacent":
-                    if not 1 <= len(spec.input_slots) <= 3:
-                        raise TopologyError(f"adjacent block {spec.name!r} takes 1 to 3 inputs")
-                    ordered = sorted(scales)
-                    if any(b > 2 * a for a, b in zip(ordered, ordered[1:])):
-                        raise TopologyError(
-                            f"adjacent block {spec.name!r} inputs must sit at neighboring "
-                            f"resolutions (each step at most 2x), got {scales}")
-                else:
-                    raise TopologyError(f"block {spec.name!r} has unknown kind {spec.kind!r}")
-                known[spec.name] = (spec.out_channels, min(scales))
-        final = self.refine_levels[-1]
-        head_src = min(final, key=lambda s: known[s.name][1])
-        if known[head_src.name][1] != 1:
+                neighboring = len(scales) <= 3 and all(b <= 2 * a for a, b in zip(scales, scales[1:]))
+                four_apart = len(scales) == 2 and scales[1] == 4 * scales[0]
+                if not (neighboring or four_apart):
+                    raise TopologyError(
+                        f"block {spec.name!r} takes 1 to 3 inputs at neighboring resolutions "
+                        f"(each step at most 2x) or 2 inputs 4x apart, got {list(scales)}")
+                known[spec.name] = (min(chans), scales[0])
+        if min(known[s.name][1] for s in self.refine_levels[-1]) != 1:
             raise TopologyError("the final refine level must produce a full-resolution output "
                                 "for the prediction head")
         return known
@@ -139,20 +112,20 @@ class NetworkTopology:
 
 
 def default_topology(in_channels: int = 1) -> NetworkTopology:
-    """Four encoder stages at 1, 1/2, 1/4, 1/8 resolution; two skip blocks
-    and one adjacent block in the first refine level, fused by a single
-    adjacent block in the second."""
+    """Four encoder stages at 1, 1/2, 1/4, 1/8 resolution; two blocks over
+    4x gaps and one over three neighboring resolutions in the first refine
+    level, fused by a single block in the second."""
     return NetworkTopology(
         in_channels=in_channels,
         encoder_stages=(StageSpec(8, 1), StageSpec(16, 2), StageSpec(32, 2), StageSpec(64, 2)),
         refine_levels=(
             (
-                RefineBlockSpec("r1a", (("enc1", 1), ("enc3", 4)), "skip", 8),
-                RefineBlockSpec("r1b", (("enc2", 2), ("enc4", 8)), "skip", 16),
-                RefineBlockSpec("r1c", (("enc2", 2), ("enc3", 4), ("enc4", 8)), "adjacent", 16),
+                RefineBlockSpec("r1a", (("enc1", 1), ("enc3", 4))),
+                RefineBlockSpec("r1b", (("enc2", 2), ("enc4", 8))),
+                RefineBlockSpec("r1c", (("enc2", 2), ("enc3", 4), ("enc4", 8))),
             ),
             (
-                RefineBlockSpec("r2a", (("r1a", 1), ("r1b", 2), ("r1c", 2)), "adjacent", 8),
+                RefineBlockSpec("r2a", (("r1a", 1), ("r1b", 2), ("r1c", 2))),
             ),
         ),
     )
@@ -288,12 +261,13 @@ def build_refine_net(topology: NetworkTopology | None = None, seed: int = 0) -> 
     blocks = []
     for level in topology.refine_levels:
         for spec in level:
+            out_ch = known[spec.name][0]
             projections = {}
             for src, _ in spec.input_slots:
                 src_ch = known[src][0]
-                if src_ch != spec.out_channels:
-                    projections[src] = kernel(spec.out_channels, src_ch, 1, 1)
-            wconv = WeightConvLayer(kernel(spec.out_channels, spec.out_channels, 3, 3),
+                if src_ch != out_ch:
+                    projections[src] = kernel(out_ch, src_ch, 1, 1)
+            wconv = WeightConvLayer(kernel(out_ch, out_ch, 3, 3),
                                     Parameter(np.zeros((1, 1, 1, 1))))
             blocks.append(RefineBlock(spec, projections, wconv))
 
@@ -321,6 +295,10 @@ def predict(net: RefineNet, image: Tensor) -> np.ndarray:
     of the parameters; returns the H x W probability map as float64."""
     if image.shape[0] != 1:
         raise ContractError(f"predict takes a single-image batch, got batch {image.shape[0]}")
+    f32_max = float(np.finfo(np.float32).max)
+    if not np.all(np.abs(image.data) <= f32_max):    # also false for NaN
+        raise DomainError(f"input image must be finite and within float32's range "
+                          f"(|x| <= {f32_max:.8g}) for the float32 forward")
     with no_grad():
         out = _float32_copy(net).forward(Tensor(image.data.astype(np.float32)))
     return out.data[0, 0].astype(np.float64)

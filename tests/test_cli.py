@@ -1,5 +1,6 @@
 import os
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -324,7 +325,8 @@ def exit_case_inputs(tmp_path):
     PGM, a finite CRB, a NaN CRB and a one-row CRB prediction, infer's params
     and image, each also with a NaN, a two-sample training set, a manifest
     and a config file that hold a non-ASCII byte, an empty manifest, and a
-    CRB whose header dims overflow int64 with no payload."""
+    CRB whose header dims overflow int64 with no payload, and an image of
+    1e39, finite in float64 but past float32's range."""
     rng = np.random.default_rng(4)
     ann = np.zeros((16, 16))
     ann[8, 2:14] = 1.0
@@ -348,6 +350,7 @@ def exit_case_inputs(tmp_path):
     write_image(str(tmp_path / "image.pgm"), image)
     image[4, 9] = np.nan
     write_crb(str(tmp_path / "nan-image.crb"), image[None, None])
+    write_crb(str(tmp_path / "huge-image.crb"), np.full((1, 1, 16, 16), 1e39))
     (tmp_path / "latin.tsv").write_bytes(b"x\tpr\xe9d.crb\tann.pgm\ttest\n")
     (tmp_path / "latin.cfg").write_bytes(b"# caf\xe9\ngen.count = 2\n")
     save_dataset(gen_synthetic(2, (24, 24), 2, 1.0, seed=1), str(tmp_path / "ds"))
@@ -386,6 +389,8 @@ EXIT_CASES = [
      "infer --params {dir}/nan-params.crb --image {dir}/image.pgm --out {dir}/p.crb", 5),
     ("infer-nan-image",
      "infer --params {dir}/params.crb --image {dir}/nan-image.crb --out {dir}/p.crb", 5),
+    ("infer-image-beyond-float32",
+     "infer --params {dir}/params.crb --image {dir}/huge-image.crb --out {dir}/p.crb", 5),
     ("gen-negative-seed", "gen --count 1 --height 24 --width 24 --seed -1 --out-dir {dir}/g", 3),
     ("gradcheck-negative-seed", "gradcheck --seed -1", 3),
     ("eval-empty-manifest", "eval --manifest {dir}/empty.tsv --out-dir {dir}/e", 4),
@@ -410,6 +415,19 @@ def test_exit_code_table(tmp_path, capsys, argv, want):
         assert not (tmp_path / "p.crb").exists()
     else:
         assert (tmp_path / "e" / "scores.txt").exists()
+
+
+@pytest.mark.parametrize("image", ["nan-image.crb", "huge-image.crb"])
+def test_infer_names_a_bad_image(tmp_path, capsys, image):
+    # predict's float32 forward rejects the image itself, before any numpy
+    # warning, instead of blaming the probability map it would produce
+    exit_case_inputs(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = invoke(capsys, "infer", "--params", str(tmp_path / "params.crb"),
+                              "--image", str(tmp_path / image), "--out", str(tmp_path / "p.crb"))
+    assert code == 5
+    assert "input image" in err and "3.4028235e+38" in err
 
 
 # ---------------------------------------------------------------------------

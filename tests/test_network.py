@@ -1,9 +1,10 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from crispedge.errors import ContractError, ShapeError, TopologyError
+from crispedge.errors import ContractError, DomainError, ShapeError, TopologyError
 from crispedge.losses import AdaptiveLossState, ConsensusWeightMap, LossConfig, adaptive_loss
 from crispedge.network import (
     NetworkTopology,
@@ -40,7 +41,7 @@ def small_topology():
     return NetworkTopology(
         in_channels=1,
         encoder_stages=(StageSpec(4, 1), StageSpec(8, 2)),
-        refine_levels=((RefineBlockSpec("r1", (("enc1", 1), ("enc2", 2)), "adjacent", 4),),),
+        refine_levels=((RefineBlockSpec("r1", (("enc1", 1), ("enc2", 2))),),),
     )
 
 
@@ -98,47 +99,66 @@ def test_topology_dangling_source():
     topo = NetworkTopology(
         in_channels=1,
         encoder_stages=(StageSpec(4, 1),),
-        refine_levels=((RefineBlockSpec("r1", (("enc9", 1),), "adjacent", 4),),),
+        refine_levels=((RefineBlockSpec("r1", (("enc9", 1),)),),),
     )
     with pytest.raises(TopologyError):
         topo.validate()
 
 
-def test_topology_wrong_out_channels():
-    topo = NetworkTopology(
+# two encoder sources at each of the scales 1, 2, 4 and 8, with distinct
+# channel counts, so a block's derived channels show which input set them
+_FUSION_STAGES = (StageSpec(6, 1), StageSpec(5, 1), StageSpec(4, 2), StageSpec(9, 1),
+                  StageSpec(7, 2), StageSpec(3, 1), StageSpec(2, 2), StageSpec(8, 1))
+_SOURCES_AT = {1: ("enc1", "enc2"), 2: ("enc3", "enc4"), 4: ("enc5", "enc6"), 8: ("enc7", "enc8")}
+
+
+def _fusion_topology(scales):
+    """Block "r" reads one encoder source at each of ``scales``, in order; a
+    final block fuses it with enc1 for the head."""
+    slots = tuple((_SOURCES_AT[s][scales[:i].count(s)], s) for i, s in enumerate(scales))
+    return NetworkTopology(
         in_channels=1,
-        encoder_stages=(StageSpec(4, 1), StageSpec(8, 2)),
-        refine_levels=((RefineBlockSpec("r1", (("enc1", 1), ("enc2", 2)), "adjacent", 8),),),
+        encoder_stages=_FUSION_STAGES,
+        refine_levels=((RefineBlockSpec("r", slots),),
+                       (RefineBlockSpec("top", (("enc1", 1), ("r", scales[0]))),)),
     )
-    with pytest.raises(TopologyError):
-        topo.validate()
 
 
-def test_topology_skip_needs_4x_gap():
-    topo = NetworkTopology(
-        in_channels=1,
-        encoder_stages=(StageSpec(4, 1), StageSpec(8, 2)),
-        refine_levels=((RefineBlockSpec("r1", (("enc1", 1), ("enc2", 2)), "skip", 4),),),
-    )
-    with pytest.raises(TopologyError):
-        topo.validate()
+# input scales of block "r" and, when accepted, its derived (channels, scale)
+FUSION_ACCEPTS = [
+    ((1,), (6, 1)),
+    ((2, 2), (4, 2)),
+    ((1, 2), (4, 1)),
+    ((1, 2, 4), (4, 1)),
+    ((2, 4, 4), (3, 2)),
+    ((1, 4), (6, 1)),
+]
+FUSION_REJECTS = [(1, 8), (1, 4, 8), (1, 2, 4, 8), (2, 1)]
 
 
-def test_topology_adjacent_rejects_wide_gap():
-    topo = NetworkTopology(
-        in_channels=1,
-        encoder_stages=(StageSpec(4, 1), StageSpec(8, 2), StageSpec(8, 2)),
-        refine_levels=((RefineBlockSpec("r1", (("enc1", 1), ("enc3", 4)), "adjacent", 4),),),
-    )
-    with pytest.raises(TopologyError):
-        topo.validate()
+def _scales_id(scales):
+    return "-".join(map(str, scales))
+
+
+@pytest.mark.parametrize("scales,want", FUSION_ACCEPTS,
+                         ids=[_scales_id(scales) for scales, _ in FUSION_ACCEPTS])
+def test_fusion_rule_accepts(scales, want):
+    # 1 to 3 inputs each at most 2x apart, or 2 inputs 4x apart: the block
+    # has its smallest input channel count at its finest input's scale
+    assert _fusion_topology(scales).validate()["r"] == want
+
+
+@pytest.mark.parametrize("scales", FUSION_REJECTS, ids=[_scales_id(s) for s in FUSION_REJECTS])
+def test_fusion_rule_rejects(scales):
+    with pytest.raises(TopologyError, match="block 'r'"):
+        _fusion_topology(scales).validate()
 
 
 def test_topology_final_level_must_reach_full_resolution():
     topo = NetworkTopology(
         in_channels=1,
         encoder_stages=(StageSpec(4, 1), StageSpec(8, 2), StageSpec(8, 2)),
-        refine_levels=((RefineBlockSpec("r1", (("enc2", 2), ("enc3", 4)), "adjacent", 8),),),
+        refine_levels=((RefineBlockSpec("r1", (("enc2", 2), ("enc3", 4))),),),
     )
     with pytest.raises(TopologyError):
         topo.validate()
@@ -148,7 +168,7 @@ def test_topology_wrong_declared_scale():
     topo = NetworkTopology(
         in_channels=1,
         encoder_stages=(StageSpec(4, 1), StageSpec(8, 2)),
-        refine_levels=((RefineBlockSpec("r1", (("enc1", 1), ("enc2", 4)), "adjacent", 4),),),
+        refine_levels=((RefineBlockSpec("r1", (("enc1", 1), ("enc2", 4))),),),
     )
     with pytest.raises(TopologyError):
         topo.validate()
@@ -156,6 +176,9 @@ def test_topology_wrong_declared_scale():
 
 def test_default_topology_validates():
     known = default_topology().validate()
+    assert known["r1a"] == (8, 1)
+    assert known["r1b"] == (16, 2)
+    assert known["r1c"] == (16, 2)
     assert known["r2a"] == (8, 1)
     assert known["enc4"] == (64, 8)
 
@@ -230,14 +253,15 @@ def test_resolution_contract_on_variant_topologies():
             in_channels=1,
             encoder_stages=(StageSpec(4, 1), StageSpec(8, 2), StageSpec(12, 2)),
             refine_levels=(
-                (RefineBlockSpec("a", (("enc1", 1), ("enc3", 4)), "skip", 4),
-                 RefineBlockSpec("b", (("enc2", 2), ("enc3", 4)), "adjacent", 8)),
-                (RefineBlockSpec("c", (("a", 1), ("b", 2)), "adjacent", 4),),
+                (RefineBlockSpec("a", (("enc1", 1), ("enc3", 4))),
+                 RefineBlockSpec("b", (("enc2", 2), ("enc3", 4)))),
+                (RefineBlockSpec("c", (("a", 1), ("b", 2))),),
             ),
         ),
     ]
     rng = np.random.default_rng(5)
     for topo in variants:
+        known = topo.validate()
         net = build_refine_net(topo, seed=1)
         for h, w in [(16, 16), (24, 33)]:
             x = Tensor(rng.uniform(0, 1, (1, topo.in_channels, h, w)))
@@ -252,7 +276,7 @@ def test_resolution_contract_on_variant_topologies():
                 inputs = [feats[s] for s, _ in block.spec.input_slots]
                 out = block.forward(inputs)
                 assert out.shape[2:] == inputs[0].shape[2:]
-                assert out.shape[1] == block.spec.out_channels
+                assert out.shape[1] == known[block.spec.name][0]
                 feats[block.spec.name] = out
             assert net.forward(x).shape == (1, 1, h, w)
 
@@ -269,6 +293,20 @@ def test_predict_pure_and_batch_contract():
     assert np.array_equal(a, b)
     with pytest.raises(ContractError):
         predict(net, Tensor(np.zeros((2, 1, 16, 16))))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1e39])
+def test_predict_rejects_an_image_beyond_float32(bad):
+    net = build_refine_net(seed=2)
+    img = np.random.default_rng(6).uniform(0, 1, (1, 1, 16, 16))
+    img[0, 0, 5, 7] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")    # raised before the cast could warn
+        with pytest.raises(DomainError, match="input image"):
+            predict(net, Tensor(img))
+    # the largest finite float32 is still accepted
+    img[0, 0, 5, 7] = float(np.finfo(np.float32).max)
+    assert predict(net, Tensor(img)).shape == (16, 16)
 
 
 @pytest.mark.parametrize("h,w", [(64, 64), (321, 481)])

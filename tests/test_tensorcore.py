@@ -69,19 +69,21 @@ def _default_conv_shapes(h, w):
     default network on an h x w image: the 3x3 encoder stages and weight
     convs, the 1x1 projections and the 1x1 head."""
     topo = default_topology()
+    known = topo.validate()
     shapes, c, sizes = [], topo.in_channels, {1: (h, w)}
-    for st, scale in zip(topo.encoder_stages, topo.stage_scales()):
+    for i, st in enumerate(topo.encoder_stages, start=1):
+        scale = known[f"enc{i}"][1]
         ih, iw = sizes[scale // st.stride]
         shapes.append((st.channels, c, 3, st.stride, ih, iw))
         sizes[scale] = (-(-ih // st.stride), -(-iw // st.stride))
         c = st.channels
-    known = topo.validate()
     for level in topo.refine_levels:
         for spec in level:
-            for src, scale in spec.input_slots:
-                if known[src][0] != spec.out_channels:
-                    shapes.append((spec.out_channels, known[src][0], 1, 1) + sizes[scale])
-            shapes.append((spec.out_channels, spec.out_channels, 3, 1) + sizes[known[spec.name][1]])
+            out, scale = known[spec.name]
+            for src, src_scale in spec.input_slots:
+                if known[src][0] != out:
+                    shapes.append((out, known[src][0], 1, 1) + sizes[src_scale])
+            shapes.append((out, out, 3, 1) + sizes[scale])
     shapes.append((1, known[topo.head_source()][0], 1, 1, h, w))
     return shapes
 
