@@ -5,7 +5,7 @@ values, or float32 values inside ``no_grad()``. Operations compute in their
 inputs' dtype, record their inputs and a gradient closure on the output
 tensor; ``backward`` replays them in reverse topological order. Inside
 ``no_grad()`` nothing is recorded: every result is a leaf, so inference holds
-no inputs, masks or padded copies. A float32 tensor built while recording is a
+no inputs or masks for a backward. A float32 tensor built while recording is a
 ``ContractError``, so every graph, and with it training and gradient checks,
 is float64. Scalars are (1, 1, 1, 1) tensors.
 """
@@ -138,15 +138,19 @@ class ComputeGraph:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(node) into ``grad`` for every node below ``loss``.
+    """Accumulate d(loss)/d(leaf) into ``grad`` for every leaf below ``loss``.
 
-    Calling twice without zeroing gradients accumulates both passes.
+    An interior node's gradient is freed once its gradient closure has used
+    it, so afterwards only leaves (tensors without a closure, parameters
+    among them) hold a ``grad``. Calling twice without zeroing gradients
+    accumulates both passes.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a 1-element loss tensor, shape is {loss.shape}")
     graph = ComputeGraph.trace(loss)
-    # interior grads are scratch state: clear them so every call contributes
-    # exactly one d(loss)/d(leaf) to each leaf
+    # interior grads are scratch state, and a pass that raised part-way can
+    # leave some behind: clear them so every call contributes exactly one
+    # d(loss)/d(leaf) to each leaf
     for node in graph.nodes:
         if node._grad_fn is not None:
             node.grad = None
@@ -156,7 +160,9 @@ def backward(loss: Tensor) -> None:
         loss.grad = loss.grad + np.ones_like(loss.data)
     for node in reversed(graph.nodes):
         if node._grad_fn is not None and node.grad is not None:
+            # reverse topological order: every contribution has arrived
             node._grad_fn(node.grad)
+            node.grad = None
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -268,6 +274,17 @@ def _columns(view: np.ndarray) -> np.ndarray:
     return view.transpose(1, 2, 3, 0, 4, 5).reshape(c * kh * kw, b * r * ow)
 
 
+def _im2col_view(data: np.ndarray, kh: int, kw: int, oh: int, ow: int,
+                 stride: int, padding: int) -> np.ndarray:
+    """Strided (B,C,KH,KW,OH,OW) view of ``data`` zero-padded by ``padding``
+    on each spatial side; with no padding it views ``data`` itself."""
+    if padding:
+        data = np.pad(data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    s = data.strides
+    return np.lib.stride_tricks.as_strided(data, data.shape[:2] + (kh, kw, oh, ow),
+                                           s + (s[2] * stride, s[3] * stride))
+
+
 def _conv_forward(view: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Multiply a kernel (O,C,KH,KW) by the columns of an im2col view
     (B,C,KH,KW,OH,OW) one block of output rows at a time; a block holds at
@@ -300,21 +317,20 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
         raise ShapeError(f"kernel {kh}x{kw} with stride {stride}, padding {padding} "
                          f"gives non-positive output size for {h}x{w} input")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    s = xp.strides
-    view = np.lib.stride_tricks.as_strided(xp, (b, c, kh, kw, oh, ow),
-                                           s + (s[2] * stride, s[3] * stride))
-
     def grad_fn(g: np.ndarray) -> None:
-        # dk is one GEMM of g, (O, B*OH*OW), with the view's columns, a
-        # temporary freed before dx builds its own product of the same size
+        # the closure holds x, not a padded copy: dk re-pads x.data into
+        # columns and GEMMs g, (O, B*OH*OW), with them; the padded copy and
+        # the columns are temporaries, freed before dx builds its own product
+        # of the columns' size
+        view = _im2col_view(x.data, kh, kw, oh, ow, stride, padding)
         _accumulate(kernel, (g.swapaxes(0, 1).reshape(o, -1) @ _columns(view).T)
                     .reshape(o, c, kh, kw))
+        del view
         # dx: every tap's contribution in one batched matmul, then scattered
         # back tap by tap onto the padded input
         taps = (kernel.data.reshape(o, -1).T @ g.reshape(b, o, oh * ow)).reshape(
             b, c, kh, kw, oh, ow)
-        dxp = np.zeros_like(xp)
+        dxp = np.zeros((b, c, h + 2 * padding, w + 2 * padding), x.data.dtype)
         for i in range(kh):
             for j in range(kw):
                 dxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += taps[:, :, i, j]
@@ -322,7 +338,8 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
             dxp = dxp[:, :, padding:padding + h, padding:padding + w]
         _accumulate(x, dxp)
 
-    return Tensor(_conv_forward(view, kernel.data), (x, kernel), grad_fn)
+    y = _conv_forward(_im2col_view(x.data, kh, kw, oh, ow, stride, padding), kernel.data)
+    return Tensor(y, (x, kernel), grad_fn)
 
 
 def resize_weights(src: int, dst: int) -> np.ndarray:

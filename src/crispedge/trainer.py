@@ -141,6 +141,7 @@ def train(dataset, topology=None, config=TrainConfig()):
             backward(loss)
             sgd_step(params, opt)
             epoch_losses.append(value)
+            del pred, loss  # the next forward must not run beside this step's graph
         report.loss_trace.append(float(np.mean(epoch_losses)))
         if awl_state is not None:
             report.kappa_trace.append(awl_state.kappa)

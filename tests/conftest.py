@@ -1,8 +1,11 @@
 """Fixtures shared by the test modules."""
 
+import contextlib
 import os
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -23,3 +26,29 @@ def run_python():
                               capture_output=True, text=True, timeout=timeout)
 
     return run
+
+
+@dataclass
+class Traced:
+    held: int = 0   # traced bytes the block allocated and left allocated
+    peak: int = 0   # most traced bytes allocated at once inside the block
+
+
+@pytest.fixture
+def traced_peak():
+    """``with traced_peak() as t:`` traces the block's allocations with
+    tracemalloc; on a normal exit ``t.peak`` and ``t.held`` are set, both
+    counted from the block's start. Tracing stops also when the block raises."""
+
+    @contextlib.contextmanager
+    def trace():
+        traced = Traced()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            yield traced
+            traced.held, traced.peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+
+    return trace

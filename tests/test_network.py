@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -327,20 +326,15 @@ def test_predict_returns_float64_and_leaves_the_net_alone():
         assert p.grad.dtype == np.float64 and p.velocity.dtype == np.float64
 
 
-def test_predict_peak_memory_at_bsds_size():
+def test_predict_peak_memory_at_bsds_size(traced_peak):
     net = build_refine_net(seed=0)
     img = Tensor(np.random.default_rng(0).uniform(0, 1, (1, 1, 321, 481)))
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
+    with traced_peak() as traced:
         predict(net, img)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     # the graph-building forward peaks near 426 MB, and the float64
     # graph-free one near 96 MiB; the float32 one peaks near 49 MiB, so an
     # upcast to float64 anywhere in the forward crosses this bound
-    assert peak < 64 * 2**20
+    assert traced.peak < 64 * 2**20
 
 
 def test_predict_zero_image_gives_half():

@@ -1,5 +1,4 @@
 import inspect
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +6,7 @@ import pytest
 from crispedge import tensorcore
 from crispedge.errors import ContractError, DomainError, ShapeError
 from crispedge.tensorcore import (
+    ComputeGraph,
     OptimizerConfig,
     Parameter,
     Tensor,
@@ -171,7 +171,7 @@ def test_conv_gradients_match_loop_oracle(case):
     assert np.allclose(k.grad, want_dk, rtol=1e-12)
 
 
-def test_conv_backward_scratch_is_bounded():
+def test_conv_backward_scratch_is_bounded(traced_peak):
     # the 8-channel 3x3 conv at batch 10, 64x64: its column buffer holds
     # 8*9 x 10*64*64 doubles (22.5 MB); dx builds a product of the same size,
     # so holding the buffer into dx would double the peak
@@ -181,17 +181,24 @@ def test_conv_backward_scratch_is_bounded():
     y = conv2d(x, k, padding=1)
     g = rng.standard_normal(y.shape)
     cols_bytes = 8 * 9 * 10 * 64 * 64 * 8
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
+    with traced_peak() as traced:
         y._grad_fn(g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * cols_bytes
+    assert traced.peak < 1.5 * cols_bytes
 
 
-def test_conv_forward_scratch_is_one_block():
+def test_recorded_conv_holds_no_padded_copy(traced_peak):
+    # the closure keeps x, a graph parent already, and re-pads it in
+    # backward; a padded copy of x held for backward would be (66/64)^2,
+    # about 1.06x, the input
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.standard_normal((10, 8, 64, 64)))
+    k = Tensor(rng.standard_normal((8, 8, 3, 3)))
+    with traced_peak() as traced:
+        y = conv2d(x, k, padding=1)
+    assert traced.held - y.data.nbytes < 0.05 * x.data.nbytes
+
+
+def test_conv_forward_scratch_is_one_block(traced_peak):
     # an 8-channel 3x3 conv at 512x512: its whole column buffer would hold
     # 8*9 x 512*512 doubles (151 MB), over four blocks of _IM2COL_BUDGET
     rng = np.random.default_rng(4)
@@ -201,14 +208,9 @@ def test_conv_forward_scratch_is_one_block():
     kernel = rng.standard_normal((8, 8, 3, 3))
     block_bytes = 8 * tensorcore._IM2COL_BUDGET
     assert view.nbytes > 4 * block_bytes
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
+    with traced_peak() as traced:
         y = tensorcore._conv_forward(view, kernel)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - y.nbytes < 1.25 * block_bytes
+    assert traced.peak - y.nbytes < 1.25 * block_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +372,38 @@ def test_diamond_graph_gradient():
     s = square(x)
     backward(add(s, s))
     assert abs(x.grad.reshape(()) - 6.0) < 1e-15
+
+
+def test_backward_frees_interior_gradients():
+    rng = np.random.default_rng(8)
+    ax = rng.standard_normal((2, 2, 5, 6))
+    ak = rng.standard_normal((3, 2, 3, 3))
+    aw = rng.standard_normal((2, 3, 7, 4))
+
+    def tail(y, w):
+        r = relu(bilinear_resize(y, 7, 4))
+        return global_sum(mul(sigmoid(add(r, w)), r))
+
+    x, k, w = Tensor(ax), Tensor(ak), Tensor(aw)
+    loss = tail(conv2d(x, k, padding=1), w)
+    interior = [n for n in ComputeGraph.trace(loss).nodes if n._grad_fn is not None]
+    backward(loss)
+    assert len(interior) == 7 and all(n.grad is None for n in interior)
+
+    # d(loss)/d(conv output) from the tail alone, with that output as a leaf
+    y = Tensor(conv2d(Tensor(ax), Tensor(ak), padding=1).data)
+    backward(tail(y, Tensor(aw)))
+    want_dx, want_dk = conv2d_grads_loops(ax, ak, y.grad, padding=1)
+    assert np.allclose(x.grad, want_dx, rtol=1e-12)
+    assert np.allclose(k.grad, want_dk, rtol=1e-12)
+
+    def f():
+        return tail(conv2d(Tensor(ax), Tensor(ak), padding=1), Tensor(aw)).item()
+
+    for arr, tensor in [(ax, x), (ak, k), (aw, w)]:
+        ana = tensor.grad.reshape(-1)
+        for i, g in fd_gradient(f, arr).items():
+            assert rel_err(ana[i], g) < 1e-4
 
 
 def test_composite_gradients_match_fd_many_seeds():
