@@ -12,10 +12,8 @@ from crispedge import (
     adaptive_loss,
     backward,
     batch_weight_maps,
-    dice,
     soft_ce,
     soft_dice,
-    weighted_ce,
 )
 
 # Three annotators drew almost the same vertical line on an 8x10 canvas.
@@ -39,9 +37,7 @@ p += rng.uniform(-0.02, 0.02, p.shape)
 pred = Tensor(p[None, None])
 
 print()
-print(f"weighted_ce (majority label) : {weighted_ce(pred, ann).item():.6f}")
 print(f"soft_ce (consensus weights)  : {soft_ce(pred, wmap).item():.6f}")
-print(f"dice (majority label)        : {dice(pred, ann).item():.6f}")
 print(f"soft_dice (consensus)        : {soft_dice(pred, wmap).item():.6f}")
 
 # soft_dice is bounded below by 1 and touches the bound only when the

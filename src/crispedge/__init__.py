@@ -44,10 +44,8 @@ from .losses import (
     adaptive_loss,
     batch_weight_maps,
     combined_loss,
-    dice,
     soft_ce,
     soft_dice,
-    weighted_ce,
 )
 from .network import (
     NetworkTopology,
@@ -101,7 +99,6 @@ __all__ = [
     "build_refine_net",
     "combined_loss",
     "default_topology",
-    "dice",
     "eval_criteria",
     "gen_synthetic",
     "load_dataset",
@@ -120,7 +117,6 @@ __all__ = [
     "tolerance_pixels",
     "toy_dataset",
     "train",
-    "weighted_ce",
     "write_crb",
     "write_raster",
     "__version__",

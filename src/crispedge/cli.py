@@ -53,7 +53,7 @@ from .network import (
 )
 from .tensorcore import OptimizerConfig
 from .trainer import (
-    ABLATION_MODES,
+    LOSS_MODES,
     TrainConfig,
     ablation_csv,
     ablation_run,
@@ -284,7 +284,7 @@ def _cmd_eval(cfg, args):
 def _cmd_ablate(cfg, args):
     dataset = load_dataset(args.manifest)
     config = _train_config(cfg, args.seed)
-    modes = tuple(args.modes.split(",")) if args.modes else ABLATION_MODES
+    modes = tuple(args.modes.split(",")) if args.modes else LOSS_MODES
     rows = ablation_run(dataset, default_topology(), modes, config)
     csv = ablation_csv(rows)
     os.makedirs(args.out_dir, exist_ok=True)

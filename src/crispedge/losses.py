@@ -1,11 +1,9 @@
 """Boundary-detection losses over probability maps and multi-annotator labels.
 
-Two label views exist side by side: a hard binary map obtained by majority
-vote across annotators, and a consensus weight map holding the fraction of
-annotators that marked each pixel. The cross-entropy and overlap (dice-style)
-losses come in a hard and a soft variant accordingly, plus two fusions of the
-soft pair: fixed weights, and trainable weights with a log-barrier coupling
-term.
+Every loss reads one label view: the consensus weight map, holding the
+fraction of annotators that marked each pixel. A class-balanced cross-entropy
+and an overlap (dice-style) loss are taken against it, plus two fusions of the
+pair: fixed weights, and trainable weights with a log-barrier coupling term.
 """
 
 from __future__ import annotations
@@ -46,12 +44,6 @@ class AnnotationSet:
     @property
     def spatial_shape(self) -> tuple[int, int]:
         return self.maps.shape[1:]
-
-    def majority(self) -> np.ndarray:
-        """Hard binary label: positive where at least half the annotators
-        (rounded up) marked the pixel."""
-        need = (self.n + 1) // 2
-        return (self.maps.sum(axis=0) >= need).astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -144,34 +136,9 @@ class AdaptiveLossState:
         return [self.log_kappa, self.log_tau]
 
 
-def _stack_labels(annotations) -> np.ndarray:
-    if isinstance(annotations, AnnotationSet):
-        annotations = [annotations]
-    labels = np.stack([a.majority() for a in annotations])[:, None]
-    return labels
-
-
 def _check_p(p: Tensor, spatial: tuple) -> None:
     if p.shape != spatial:
         raise ShapeError(f"prediction shape {p.shape} does not match labels {spatial}")
-
-
-def weighted_ce(p: Tensor, annotations, config: LossConfig = LossConfig()) -> Tensor:
-    """Class-balanced cross-entropy against the majority-vote binary label.
-
-    Positives are weighted by the negative-pixel fraction beta and negatives
-    by 1 - beta, so the sparse boundary class is not drowned out.
-    """
-    labels = _stack_labels(annotations)
-    _check_p(p, labels.shape)
-    n = labels.size
-    n_pos = int(labels.sum())
-    beta = (n - n_pos) / n
-    pc = clip(p, config.clamp, 1.0 - config.clamp)
-    pos_coef = labels * (-beta)
-    neg_coef = (1.0 - labels) * (-(1.0 - beta))
-    one_minus = add(mul(pc, -1.0), 1.0)
-    return global_sum(add(mul(log(pc), pos_coef), mul(log(one_minus), neg_coef)))
 
 
 def soft_ce(p: Tensor, wmap: ConsensusWeightMap, config: LossConfig = LossConfig()) -> Tensor:
@@ -190,19 +157,6 @@ def soft_ce(p: Tensor, wmap: ConsensusWeightMap, config: LossConfig = LossConfig
     pos_coef = np.where(pos_mask, wmap.w * pos_scale, 0.0)
     neg_coef = np.where(pos_mask, 0.0, neg_scale)
     return global_sum(add(mul(log(pc), pos_coef), mul(log(one_minus), neg_coef)))
-
-
-def dice(p: Tensor, annotations) -> Tensor:
-    """Reciprocal overlap ratio against the majority-vote label; equals 1
-    exactly when p matches the label pointwise (and the label is nonempty)."""
-    labels = _stack_labels(annotations)
-    _check_p(p, labels.shape)
-    den = mul(global_sum(mul(p, labels)), 2.0)
-    if den.item() == 0.0:
-        raise DomainError("overlap denominator is zero (empty prediction against empty label); "
-                          "use soft_dice, whose epsilon guard covers this case")
-    num = add(global_sum(square(p)), float((labels * labels).sum()))
-    return mul(num, reciprocal(den))
 
 
 def soft_dice(p: Tensor, wmap: ConsensusWeightMap, config: LossConfig = LossConfig()) -> Tensor:

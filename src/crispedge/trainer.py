@@ -22,14 +22,12 @@ from .losses import (
     combined_loss,
     soft_ce,
     soft_dice,
-    weighted_ce,
 )
 from .network import build_refine_net, default_topology, predict
 from .tensorcore import OptimizerConfig, Tensor, backward, sgd_step
 
-LOSS_MODES = ("ce", "sce", "sd", "sce+sd", "awl")
-# the soft losses and their two fusions, compared by an ablation by default
-ABLATION_MODES = ("sce", "sd", "sce+sd", "awl")
+# the two consensus losses and their two fusions; an ablation compares all four
+LOSS_MODES = ("sce", "sd", "sce+sd", "awl")
 
 
 @dataclass(frozen=True)
@@ -87,10 +85,8 @@ def holdout_split(ids, fraction):
     return frozenset(held)
 
 
-def _batch_loss(pred, batch, wmap, config, awl_state):
+def _batch_loss(pred, wmap, config, awl_state):
     mode = config.loss_mode
-    if mode == "ce":
-        return weighted_ce(pred, [s.annotations for s in batch], config.loss_config)
     if mode == "sce":
         return soft_ce(pred, wmap, config.loss_config)
     if mode == "sd":
@@ -133,7 +129,7 @@ def train(dataset, topology=None, config=TrainConfig()):
             images = Tensor(np.concatenate([s.image.data for s in batch], axis=0))
             wmap = batch_weight_maps([s.annotations for s in batch])
             pred = net.forward(images)
-            loss = _batch_loss(pred, batch, wmap, config, awl_state)
+            loss = _batch_loss(pred, wmap, config, awl_state)
             value = loss.item()
             if not np.isfinite(value):
                 raise TrainingError(
@@ -167,7 +163,7 @@ class AblationRow:
     ods_t: float
 
 
-def ablation_run(dataset, topology=None, modes=ABLATION_MODES, config=TrainConfig()):
+def ablation_run(dataset, topology=None, modes=LOSS_MODES, config=TrainConfig()):
     """Train one network per loss mode from a shared seed; returns the rows."""
     if not holdout_split([s.id for s in dataset], config.holdout_fraction):
         raise ContractError("ablation needs a non-empty holdout split")

@@ -111,24 +111,6 @@ def rel_err(a, b, floor=1e-6):
     return abs(a - b) / max(abs(a), abs(b), floor)
 
 
-def weighted_ce_loops(p, label, clamp):
-    """Class-balanced cross-entropy over a binary label map, scalar loop."""
-    pf = p.reshape(-1)
-    lf = label.reshape(-1)
-    n = lf.size
-    n_pos = int(sum(1 for v in lf if v > 0.5))
-    n_neg = n - n_pos
-    beta = n_neg / n
-    loss = 0.0
-    for i in range(n):
-        pi = min(max(pf[i], clamp), 1.0 - clamp)
-        if lf[i] > 0.5:
-            loss += -beta * math.log(pi)
-        else:
-            loss += -(1.0 - beta) * math.log(1.0 - pi)
-    return loss
-
-
 def soft_ce_loops(p, w, clamp):
     """Consensus-weighted, count-normalized cross-entropy, scalar loop."""
     pf = p.reshape(-1)
@@ -151,17 +133,6 @@ def soft_ce_loops(p, w, clamp):
     if n_neg > 0:
         loss += -((1.0 - beta) / n_neg) * neg_term
     return loss
-
-
-def dice_loops(p, label):
-    pf = p.reshape(-1)
-    lf = label.reshape(-1)
-    num = 0.0
-    den = 0.0
-    for i in range(pf.size):
-        num += pf[i] * pf[i] + lf[i] * lf[i]
-        den += 2.0 * pf[i] * lf[i]
-    return num / den
 
 
 def soft_dice_loops(p, w, eps):

@@ -311,10 +311,11 @@ def test_divergent_training_exits_5(tmp_path, capsys):
     assert "epoch" in err
 
 
-def test_bad_loss_mode_exits_3(tmp_path, capsys):
+@pytest.mark.parametrize("mode", ["dice", "ce"])
+def test_bad_loss_mode_exits_3(tmp_path, capsys, mode):
     manifest, _ = make_dataset(tmp_path, n=2)
     code, _, err = invoke(capsys, "train", "--manifest", manifest,
-                          "--loss-mode", "dice", "--epochs", "1",
+                          "--loss-mode", mode, "--epochs", "1",
                           "--out-dir", str(tmp_path / "t"))
     assert code == 3
     assert err.startswith("crispedge: train:")

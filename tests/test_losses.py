@@ -12,20 +12,16 @@ from crispedge.losses import (
     adaptive_loss,
     batch_weight_maps,
     combined_loss,
-    dice,
     soft_ce,
     soft_dice,
-    weighted_ce,
 )
 from crispedge.tensorcore import Tensor, backward
 
 from oracles import (
-    dice_loops,
     fd_gradient,
     rel_err,
     soft_ce_loops,
     soft_dice_loops,
-    weighted_ce_loops,
 )
 
 CFG = LossConfig()
@@ -75,20 +71,6 @@ def test_annotation_set_validation():
         AnnotationSet([np.full((3, 3), 0.5)])
 
 
-def test_majority_rule():
-    a = np.zeros((1, 2))
-    b = np.ones((1, 2))
-    # 2 of 3 annotators mark pixel 0; 1 of 3 marks pixel 1
-    m1 = np.array([[1.0, 0.0]])
-    m2 = np.array([[1.0, 1.0]])
-    m3 = np.array([[0.0, 0.0]])
-    lab = AnnotationSet([m1, m2, m3]).majority()
-    assert lab[0, 0] == 1.0 and lab[0, 1] == 0.0
-    # single annotator: majority is the map itself
-    assert np.array_equal(AnnotationSet([b]).majority(), b)
-    assert np.array_equal(AnnotationSet([a]).majority(), a)
-
-
 def test_weight_map_range_validation():
     with pytest.raises(DomainError):
         ConsensusWeightMap.from_array(np.full((3, 3), 1.5))
@@ -103,39 +85,6 @@ def test_batch_weight_maps_global_counts():
     assert wm.pos_count == 1
     assert wm.neg_count == 17
     assert wm.beta == pytest.approx(17 / 18)
-
-
-# ---------------------------------------------------------------------------
-# weighted cross-entropy
-
-
-def test_weighted_ce_symmetric_case():
-    lab = np.array([[1.0, 1.0], [0.0, 0.0]])
-    p = Tensor(np.full((1, 1, 2, 2), 0.5))
-    got = weighted_ce(p, AnnotationSet([lab]), CFG).item()
-    assert got == pytest.approx(2 * math.log(2), rel=1e-12)
-
-
-def test_weighted_ce_near_zero_at_optimum():
-    lab = np.array([[1.0, 0.0], [0.0, 1.0]])
-    p = np.where(lab > 0.5, 1.0 - 1e-6, 1e-6)
-    got = weighted_ce(Tensor(p), AnnotationSet([lab]), CFG).item()
-    assert got < 1e-5 * lab.size
-
-
-def test_weighted_ce_matches_scalar_oracle():
-    for seed in range(10):
-        rng = np.random.default_rng(seed)
-        p = rng.uniform(0.01, 0.99, (4, 4))
-        lab = (rng.random((4, 4)) > 0.7).astype(float)
-        got = weighted_ce(Tensor(p), AnnotationSet([lab]), CFG).item()
-        want = weighted_ce_loops(p, lab, CFG.clamp)
-        assert rel_err(got, want) < 1e-12
-
-
-def test_weighted_ce_shape_mismatch():
-    with pytest.raises(ShapeError):
-        weighted_ce(Tensor(np.full((1, 1, 3, 3), 0.5)), AnnotationSet([np.zeros((2, 2))]), CFG)
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +122,16 @@ def test_soft_ce_matches_scalar_oracle():
         assert rel_err(got, want) < 1e-12
 
 
-def test_soft_ce_binary_w_relates_to_weighted_ce():
-    # with one annotator the two losses share beta and differ only by the
-    # per-class count normalizations
+def test_soft_losses_shape_mismatch():
+    wm = ConsensusWeightMap.from_array(np.zeros((2, 2)))
+    for loss in (soft_ce, soft_dice):
+        with pytest.raises(ShapeError):
+            loss(Tensor(np.full((1, 1, 3, 3), 0.5)), wm, CFG)
+
+
+def test_soft_ce_binary_w_normalizes_each_class_by_its_count():
+    # with one annotator w is binary, and each class's beta-weighted log sum
+    # is divided by that class's pixel count
     for seed in range(5):
         rng = np.random.default_rng(seed)
         lab = (rng.random((5, 5)) > 0.6).astype(float)
@@ -189,42 +145,12 @@ def test_soft_ce_binary_w_relates_to_weighted_ce():
         pos_part = -beta * sum(math.log(p[i, j]) for i in range(5) for j in range(5) if lab[i, j] > 0.5)
         neg_part = -(1 - beta) * sum(
             math.log(1 - p[i, j]) for i in range(5) for j in range(5) if lab[i, j] <= 0.5)
-        ce = weighted_ce(Tensor(p), AnnotationSet([lab]), CFG).item()
         sce = soft_ce(Tensor(p), ConsensusWeightMap.from_array(lab), CFG).item()
-        assert rel_err(ce, pos_part + neg_part) < 1e-12
         assert rel_err(sce, pos_part / n_pos + neg_part / n_neg) < 1e-12
 
 
 # ---------------------------------------------------------------------------
-# dice and soft dice
-
-
-def test_dice_equality_at_match():
-    lab = np.array([[1.0, 0.0], [0.0, 1.0]])
-    got = dice(Tensor(lab.reshape(1, 1, 2, 2)), AnnotationSet([lab])).item()
-    assert got == pytest.approx(1.0, rel=1e-12)
-
-
-def test_dice_closed_form_half():
-    lab = np.ones((3, 3))
-    p = Tensor(np.full((1, 1, 3, 3), 0.5))
-    assert dice(p, AnnotationSet([lab])).item() == pytest.approx(1.25, rel=1e-12)
-
-
-def test_dice_zero_denominator():
-    lab = np.zeros((2, 2))
-    with pytest.raises(DomainError):
-        dice(Tensor(np.zeros((1, 1, 2, 2))), AnnotationSet([lab]))
-
-
-def test_dice_matches_scalar_oracle():
-    for seed in range(10):
-        rng = np.random.default_rng(seed)
-        p = rng.uniform(0.01, 0.99, (4, 4))
-        lab = (rng.random((4, 4)) > 0.5).astype(float)
-        got = dice(Tensor(p), AnnotationSet([lab])).item()
-        want = dice_loops(p, lab)
-        assert rel_err(got, want) < 1e-12
+# soft dice
 
 
 def test_soft_dice_equality_and_empty():
@@ -342,17 +268,13 @@ def test_losses_permutation_invariant():
     rng = np.random.default_rng(8)
     p = rng.uniform(0.05, 0.95, (4, 4))
     w = random_w(rng)
-    lab = (w > 0).astype(float)
     perm = rng.permutation(16)
     pp = p.reshape(-1)[perm].reshape(4, 4)
     wp = w.reshape(-1)[perm].reshape(4, 4)
-    lp = lab.reshape(-1)[perm].reshape(4, 4)
     wm, wmp = ConsensusWeightMap.from_array(w), ConsensusWeightMap.from_array(wp)
     pairs = [
         (soft_ce(Tensor(p), wm, CFG), soft_ce(Tensor(pp), wmp, CFG)),
         (soft_dice(Tensor(p), wm, CFG), soft_dice(Tensor(pp), wmp, CFG)),
-        (weighted_ce(Tensor(p), AnnotationSet([lab]), CFG), weighted_ce(Tensor(pp), AnnotationSet([lp]), CFG)),
-        (dice(Tensor(p), AnnotationSet([lab])), dice(Tensor(pp), AnnotationSet([lp]))),
     ]
     for a, b in pairs:
         assert rel_err(a.item(), b.item()) < 1e-12
@@ -370,7 +292,6 @@ def test_loss_gradients_wrt_p_match_fd():
         lambda t: soft_dice(t, wm, CFG),
         lambda t: combined_loss(t, wm, 0.7, 1.3, CFG),
         lambda t: adaptive_loss(t, wm, state, CFG),
-        lambda t: weighted_ce(t, AnnotationSet([(w > 0).astype(float)]), CFG),
     ]
     for build in builders:
         t = Tensor(p_arr)

@@ -47,3 +47,9 @@ def test_no_unused_top_level_imports():
             unused += [f"{path.relative_to(ROOT)}:{line}: {name}"
                        for name, line in top_level_imports(tree) if name not in used]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def test_losses_are_the_consensus_family():
+    exported_losses = {"soft_ce", "soft_dice", "combined_loss", "adaptive_loss"}
+    assert exported_losses <= set(crispedge.__all__)
+    assert not {"weighted_ce", "dice"} & set(crispedge.__all__)
