@@ -11,7 +11,7 @@ from crispedge import (
     match_boundaries,
     tolerance_pixels,
 )
-from crispedge.evalbench import pr_at_threshold
+from crispedge.evalbench import pr_at_threshold, precision_recall_f
 
 # The matching tolerance scales with the image diagonal.  On the classic
 # 481x321 grid the 0.0075 fraction works out to about 4.3 px.
@@ -28,15 +28,17 @@ for tol in (0.5, 1.5):
     m, _ = match_boundaries(det, gt, tol)
     print(f"shifted line, tol {tol}: matched {m} of {int(gt.sum())}")
 
-# PR at a single threshold against two annotators.  Recall pools the
-# annotators; a detected pixel counts toward precision only once.
+# PR at a single threshold against two annotators.  The count row holds
+# matched detections, detections, matched annotator pixels and annotator
+# pixels: recall pools the annotators, and a detected pixel counts toward
+# precision only once.
 a1 = np.zeros((9, 9)); a1[2:7, 3] = 1.0
 a2 = np.zeros((9, 9)); a2[2:7, 5] = 1.0
 pred = np.zeros((9, 9)); pred[2:7, 3] = 0.9; pred[2:7, 5] = 0.6
 ann = AnnotationSet([a1, a2])
 for t in (0.5, 0.7):
-    c = pr_at_threshold(pred, ann, t, tol_px=1.0, post_process=False)
-    print(f"t={t}: precision {c.precision:.3f}  recall {c.recall:.3f}  f {c.f_measure:.3f}")
+    p, r, f = precision_recall_f(pr_at_threshold(pred, ann, t, tol_px=1.0, post_process=False))
+    print(f"t={t}: precision {p:.3f}  recall {r:.3f}  f {f:.3f}")
 
 # Full report on a small jittered synthetic set, scoring the true outline
 # itself as the detection.  Correctness and localness stay high because the

@@ -199,6 +199,8 @@ def _train_config(cfg, seed):
 
 
 def _cmd_gen(cfg, args):
+    # the split column is train's holdout, so TrainConfig checks its fraction
+    holdout = TrainConfig(holdout_fraction=cfg.get("train.holdout_fraction", float))
     samples = gen_synthetic(
         cfg.get("gen.count", int),
         (cfg.get("gen.height", int), cfg.get("gen.width", int)),
@@ -206,7 +208,7 @@ def _cmd_gen(cfg, args):
         cfg.get("gen.jitter_px", float),
         seed=args.seed,
     )
-    held = holdout_split([s.id for s in samples], cfg.get("train.holdout_fraction", float))
+    held = holdout_split([s.id for s in samples], holdout.holdout_fraction)
     splits = {s.id: ("test" if s.id in held else "train") for s in samples}
     manifest_path = save_dataset(samples, args.out_dir, splits=splits)
     print(f"wrote {len(samples)} samples to {manifest_path}")

@@ -269,26 +269,22 @@ def match_boundaries(detected, gt, tol_px: float) -> tuple[int, int]:
 # counting and curves
 
 
-@dataclass(frozen=True)
-class MatchCounts:
-    threshold: float
-    matched_detected: int
-    total_detected: int
-    matched_gt: int
-    total_gt: int
+def precision_recall_f(counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Precision, recall and F of each count row of ``counts`` (..., 4).
 
-    @property
-    def precision(self) -> float:
-        return self.matched_detected / self.total_detected if self.total_detected else 1.0
-
-    @property
-    def recall(self) -> float:
-        return self.matched_gt / self.total_gt if self.total_gt else 1.0
-
-    @property
-    def f_measure(self) -> float:
-        p, r = self.precision, self.recall
-        return 2.0 * p * r / (p + r) if p + r > 0.0 else 0.0
+    A count row holds matched detections, detections, matched annotator
+    pixels and annotator pixels, the order of every count array here.
+    Precision is 1 when nothing is detected, recall is 1 when there is no
+    annotator pixel, and F is 0 when precision and recall are both 0.
+    """
+    counts = np.asarray(counts)
+    matched_detected, detected, matched_gt, gt = np.moveaxis(counts, -1, 0)
+    shape = counts.shape[:-1]
+    precision = np.divide(matched_detected, detected, out=np.ones(shape), where=detected > 0)
+    recall = np.divide(matched_gt, gt, out=np.ones(shape), where=gt > 0)
+    total = precision + recall
+    f = np.divide(2.0 * precision * recall, total, out=np.zeros_like(total), where=total > 0.0)
+    return precision, recall, f
 
 
 def default_thresholds(n: int = 33) -> list[float]:
@@ -299,7 +295,9 @@ def default_thresholds(n: int = 33) -> list[float]:
 
 
 def _counts_at_thresholds(base: np.ndarray, annotations: AnnotationSet,
-                          thresholds: Sequence[float], tol_px: float) -> list[MatchCounts]:
+                          thresholds: Sequence[float], tol_px: float) -> np.ndarray:
+    """The (thresholds, 4) count rows of the detections ``base >= t`` for
+    each of the ascending ``thresholds``."""
     # the pairs within tolerance are searched once over the support
     # ``base > 0``, and each annotator is matched once for all thresholds by
     # the greedy matching in order of value (``_priority_matched``). The
@@ -311,36 +309,30 @@ def _counts_at_thresholds(base: np.ndarray, annotations: AnnotationSet,
     # matches, while a detected pixel counts toward precision once no matter
     # how many annotators it satisfies
     on = base > 0.0
-    grid = np.sort(np.asarray(thresholds, dtype=np.float64))
     vals = base[on]
-    level = np.searchsorted(grid, vals, side="right")
+    level = np.searchsorted(thresholds, vals, side="right")
     value = np.where(level > 0, vals, 0.0)
-    # a pixel clears t exactly when its level reaches the rank of t
-    ranks = np.searchsorted(grid, thresholds, side="right")
     gts = annotations.maps > 0.5
+    n_levels = len(thresholds) + 1
     matched_union = np.zeros(len(level), dtype=bool)
-    matched_gt = np.zeros(len(grid) + 1, dtype=np.int64)
+    per_level = np.zeros((n_levels, 4), dtype=np.int64)
     for (lengths, indices), gt in zip(_neighbor_graphs(on, gts, tol_px), gts):
         rows = _priority_matched(lengths, indices, int(np.count_nonzero(gt)), value)
-        matched_gt += np.bincount(level[rows], minlength=len(grid) + 1)
+        per_level[:, 2] += np.bincount(level[rows], minlength=n_levels)
         matched_union[rows] = True
-    total_gt = int(np.count_nonzero(gts))
-
-    def at_or_above(counts):
-        return np.cumsum(counts[::-1])[::-1]
-
-    detected = at_or_above(np.bincount(level, minlength=len(grid) + 1))
-    union = at_or_above(np.bincount(level[matched_union], minlength=len(grid) + 1))
-    matched_gt = at_or_above(matched_gt)
-    return [MatchCounts(t, int(union[k]), int(detected[k]), int(matched_gt[k]), total_gt)
-            for t, k in zip(thresholds, ranks)]
+    per_level[:, 0] = np.bincount(level[matched_union], minlength=n_levels)
+    per_level[:, 1] = np.bincount(level, minlength=n_levels)
+    # the k-th threshold counts the pixels at or above level k + 1
+    counts = np.cumsum(per_level[::-1], axis=0)[::-1][1:]
+    counts[:, 3] = np.count_nonzero(gts)
+    return counts
 
 
 def pr_at_threshold(p, annotations: AnnotationSet, t: float, tol_px: float,
-                    post_process: bool) -> MatchCounts:
-    """Score the detections ``p >= t`` (after post-processing when requested)
-    against every annotator in order; the counts are those of a threshold
-    sweep through ``t``. A negative or NaN ``tol_px`` raises
+                    post_process: bool) -> np.ndarray:
+    """The count row of the detections ``p >= t`` (after post-processing
+    when requested) against every annotator in order; it is the row of a
+    threshold sweep through ``t``. A negative or NaN ``tol_px`` raises
     ``ContractError``."""
     if not 0.0 < t < 1.0:
         raise ContractError(f"threshold must be in (0, 1), got {t}")
@@ -377,40 +369,32 @@ def average_precision(points: Sequence[tuple[float, float]]) -> float:
     return area
 
 
-def summarize(all_counts: Sequence[Sequence[MatchCounts]],
+def summarize(counts, thresholds: Sequence[float],
               criterion: str = "correctness") -> tuple[BenchmarkScores, list]:
-    """Reduce per-image, per-threshold counts to dataset scores.
+    """Reduce an (images, thresholds, 4) count array to dataset scores.
 
     The best-threshold F over dataset-aggregated counts, the mean of each
     image's own best F, the area under the aggregated PR curve, and that
     curve as (threshold, precision, recall, f) rows.
     """
-    images = [list(rows) for rows in all_counts]
-    if not images:
-        raise ContractError("summarize needs at least one image")
-    grids = {tuple(c.threshold for c in rows) for rows in images}
-    if len(grids) != 1:
-        raise ContractError("images were scored on different threshold grids")
-    grid = grids.pop()
-    if not grid:
-        raise ContractError("empty threshold grid")
-
-    curve = []
-    for k, t in enumerate(grid):
-        at_t = [rows[k] for rows in images]
-        pooled = MatchCounts(t, sum(c.matched_detected for c in at_t),
-                             sum(c.total_detected for c in at_t),
-                             sum(c.matched_gt for c in at_t), sum(c.total_gt for c in at_t))
-        curve.append((t, pooled.precision, pooled.recall, pooled.f_measure))
-    curve.sort(key=lambda row: row[0])
-    ods = max(row[3] for row in curve)
-    ois = sum(max(c.f_measure for c in rows) for rows in images) / len(images)
-    ap = average_precision([(r, p) for (_, p, r, _) in curve])
-    return BenchmarkScores(ods=ods, ois=ois, ap=ap, criterion=criterion), curve
+    counts = np.asarray(counts)
+    if counts.ndim != 3 or counts.shape[1:] != (len(thresholds), 4) or not counts.size:
+        raise ContractError(f"counts must be shaped (images >= 1, {len(thresholds)} "
+                            f"thresholds >= 1, 4), got {counts.shape}")
+    pooled = precision_recall_f(counts.sum(axis=0))
+    curve = list(zip(map(float, thresholds), *(column.tolist() for column in pooled)))
+    # a float sum in image order, as the mean of a list of floats
+    ois = sum(precision_recall_f(counts)[2].max(axis=1).tolist()) / len(counts)
+    scores = BenchmarkScores(ods=max(row[3] for row in curve), ois=ois,
+                             ap=average_precision([(r, p) for (_, p, r, _) in curve]),
+                             criterion=criterion)
+    return scores, curve
 
 
 # ---------------------------------------------------------------------------
 # the three criteria
+
+_CRITERIA = ("correctness", "localness", "thickness")
 
 
 @dataclass(frozen=True)
@@ -444,19 +428,15 @@ def eval_criteria(preds: Sequence, annotations_per_image: Sequence[AnnotationSet
         if p.shape != a.spatial_shape:
             raise ShapeError(f"prediction {p.shape} does not match annotations {a.spatial_shape}")
     thresholds = default_thresholds(n_thresholds)
-    per_image = []
-    for p, ann in zip(preds, anns):
+    counts = np.zeros((len(_CRITERIA), len(preds), len(thresholds), 4), dtype=np.int64)
+    for i, (p, ann) in enumerate(zip(preds, anns)):
         tol = tolerance_pixels(p.shape[0], p.shape[1], base_fraction)
         thin = nms_thin(p)
-        per_image.append({"correctness": _counts_at_thresholds(thin, ann, thresholds, tol),
-                          "localness": _counts_at_thresholds(thin, ann, thresholds, tol / 4.0),
-                          "thickness": _counts_at_thresholds(p, ann, thresholds, tol)})
-
-    out = {}
-    for name in ("correctness", "localness", "thickness"):
-        scores, curve = summarize([rows[name] for rows in per_image], criterion=name)
-        out[name] = CriterionResult(scores=scores, curve=curve)
-    return EvalReport(**out)
+        counts[:, i] = (_counts_at_thresholds(thin, ann, thresholds, tol),
+                        _counts_at_thresholds(thin, ann, thresholds, tol / 4.0),
+                        _counts_at_thresholds(p, ann, thresholds, tol))
+    return EvalReport(*(CriterionResult(*summarize(c, thresholds, name))
+                        for name, c in zip(_CRITERIA, counts)))
 
 
 # ---------------------------------------------------------------------------

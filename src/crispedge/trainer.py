@@ -167,11 +167,13 @@ def ablation_run(dataset, topology=None, modes=LOSS_MODES, config=TrainConfig())
     """Train one network per loss mode from a shared seed; returns the rows."""
     if not holdout_split([s.id for s in dataset], config.holdout_fraction):
         raise ContractError("ablation needs a non-empty holdout split")
+    # every mode's config is built, and so checked, before the first training
+    configs = [dataclasses.replace(config, loss_mode=mode) for mode in modes]
     rows = []
-    for mode in modes:
-        _, report = train(dataset, topology, dataclasses.replace(config, loss_mode=mode))
+    for mode_config in configs:
+        _, report = train(dataset, topology, mode_config)
         rows.append(AblationRow(
-            mode=mode,
+            mode=mode_config.loss_mode,
             ods_c=report.scores.correctness.scores.ods,
             ods_l=report.scores.localness.scores.ods,
             ods_t=report.scores.thickness.scores.ods,

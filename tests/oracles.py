@@ -235,3 +235,34 @@ def priority_counts(p, gt_maps, t, tol):
         matched_gt += len(rows)
         matched_union |= rows
     return len(matched_union), len(det_pts), matched_gt, total_gt
+
+
+def summarize_loops(counts, thresholds):
+    """ODS, OIS, AP and the PR curve of per-image count rows, pooled by
+    scalar loops: ``counts[i][k]`` is image i's (matched detected, detected,
+    matched GT, GT) at ``thresholds[k]``. Precision is 1 with nothing
+    detected, recall 1 with no GT, and F 0 when both are 0. Returns
+    (ods, ois, ap, curve) with (threshold, precision, recall, f) curve rows.
+    """
+
+    def prf(matched_detected, detected, matched_gt, gt):
+        p = matched_detected / detected if detected else 1.0
+        r = matched_gt / gt if gt else 1.0
+        return p, r, (2.0 * p * r / (p + r) if p + r > 0.0 else 0.0)
+
+    curve = []
+    for k, t in enumerate(thresholds):
+        pooled = [sum(image[k][j] for image in counts) for j in range(4)]
+        curve.append((t, *prf(*pooled)))
+    ods = max(f for _, _, _, f in curve)
+    ois = sum(max(prf(*row)[2] for row in image) for image in counts) / len(counts)
+    # the area under the best precision at or above each recall
+    best_at = {}
+    for _, p, r, _ in curve:
+        best_at[r] = max(p, best_at.get(r, 0.0))
+    recalls = sorted(best_at, reverse=True)
+    ap = best = 0.0
+    for r, lower in zip(recalls, recalls[1:] + [0.0]):
+        best = max(best, best_at[r])
+        ap += (r - lower) * best
+    return ods, ois, ap, curve

@@ -325,7 +325,8 @@ def exit_case_inputs(tmp_path):
     """Small inputs for the exit-code table: one-image eval manifests with a
     PGM, a finite CRB, a NaN CRB and a one-row CRB prediction, infer's params
     and image, each also with a NaN, a two-sample training set, a manifest
-    and a config file that hold a non-ASCII byte, an empty manifest, and a
+    and a config file that hold a non-ASCII byte, a config file whose
+    holdout fraction is out of range, an empty manifest, and a
     CRB whose header dims overflow int64 with no payload, and an image of
     1e39, finite in float64 but past float32's range."""
     rng = np.random.default_rng(4)
@@ -354,6 +355,7 @@ def exit_case_inputs(tmp_path):
     write_crb(str(tmp_path / "huge-image.crb"), np.full((1, 1, 16, 16), 1e39))
     (tmp_path / "latin.tsv").write_bytes(b"x\tpr\xe9d.crb\tann.pgm\ttest\n")
     (tmp_path / "latin.cfg").write_bytes(b"# caf\xe9\ngen.count = 2\n")
+    (tmp_path / "holdout.cfg").write_text("train.holdout_fraction = 1.5\n")
     save_dataset(gen_synthetic(2, (24, 24), 2, 1.0, seed=1), str(tmp_path / "ds"))
     (tmp_path / "empty.tsv").write_text("")
     (tmp_path / "huge.crb").write_bytes(b"CRB1" + struct.pack("<4I", 3, 2**31, 2**31, 4))
@@ -386,6 +388,8 @@ EXIT_CASES = [
     ("gen-out-dir-is-a-file", "gen --count 1 --height 24 --width 24 --out-dir {dir}/pred.pgm", 4),
     ("eval-manifest-not-ascii", "eval --manifest {dir}/latin.tsv --out-dir {dir}/e", 4),
     ("gen-config-not-ascii", "gen --config {dir}/latin.cfg --out-dir {dir}/g", 3),
+    ("gen-holdout-fraction-out-of-range",
+     "gen --config {dir}/holdout.cfg --count 2 --height 24 --width 24 --out-dir {dir}/g", 3),
     ("infer-nan-params",
      "infer --params {dir}/nan-params.crb --image {dir}/image.pgm --out {dir}/p.crb", 5),
     ("infer-nan-image",

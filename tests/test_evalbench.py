@@ -12,7 +12,6 @@ from crispedge.errors import ContractError, DomainError, ShapeError
 from crispedge.evalbench import (
     _counts_at_thresholds,
     _neighbor_graphs,
-    MatchCounts,
     average_precision,
     default_thresholds,
     eval_criteria,
@@ -21,6 +20,7 @@ from crispedge.evalbench import (
     nms_thin,
     pr_at_threshold,
     pr_curve_csv,
+    precision_recall_f,
     score_block,
     summarize,
     thin_binary,
@@ -29,7 +29,7 @@ from crispedge.evalbench import (
 from crispedge.losses import AnnotationSet
 from crispedge.network import build_refine_net, predict
 
-from oracles import max_matching_loops, neighbor_graph, priority_counts
+from oracles import max_matching_loops, neighbor_graph, priority_counts, summarize_loops
 
 
 def ring_mask(n=12):
@@ -65,7 +65,7 @@ def test_localness_is_correctness_at_a_quarter_tolerance():
     tol = tolerance_pixels(24, 24, fraction)
     report = eval_criteria([p], [ann], fraction, n_thresholds=9)
     counts = _counts_at_thresholds(nms_thin(p), ann, default_thresholds(9), tol / 4)
-    scores, curve = summarize([counts], criterion="localness")
+    scores, curve = summarize([counts], default_thresholds(9), criterion="localness")
     assert report.localness.curve == curve
     assert report.localness.scores == scores
 
@@ -236,7 +236,7 @@ def test_match_tolerance_domain(case):
             pr_at_threshold(a.astype(float), ann, 0.5, tol, post_process=False)
     else:
         assert match_boundaries(a, b, tol) == (want, want)
-        assert pr_at_threshold(a.astype(float), ann, 0.5, tol, post_process=False).matched_gt == want
+        assert pr_at_threshold(a.astype(float), ann, 0.5, tol, post_process=False)[2] == want
 
 
 def test_match_empty_sides():
@@ -351,10 +351,10 @@ from crispedge.losses import AnnotationSet
 sample = gen_synthetic(2, (321, 481), 3, 1.0, 0)[1]
 crisp = gaussian_filter(sample.true_boundary, 0.7)
 crisp /= crisp.max()
+thresholds = default_thresholds(33)
 counts = _counts_at_thresholds(crisp, AnnotationSet([sample.annotations.maps[1]]),
-                               default_thresholds(33), tolerance_pixels(321, 481, 0.0075))
-c = counts[17]
-print(c.threshold * 34, c.total_detected, c.matched_gt, c.total_gt)
+                               thresholds, tolerance_pixels(321, 481, 0.0075))
+print(thresholds[17] * 34, *counts[17, 1:])
 """
 
 
@@ -376,17 +376,15 @@ def test_pr_perfect_detection():
     m = ring_mask()
     ann = AnnotationSet([m])
     c = pr_at_threshold(m.astype(float), ann, 0.3, 1.0, post_process=False)
-    assert c.precision == 1.0 and c.recall == 1.0 and c.f_measure == 1.0
+    assert precision_recall_f(c) == (1.0, 1.0, 1.0)
 
 
 def test_pr_empty_detection_convention():
     m = ring_mask()
     ann = AnnotationSet([m])
     c = pr_at_threshold(np.zeros_like(m), ann, 0.5, 1.0, post_process=False)
-    assert c.total_detected == 0
-    assert c.precision == 1.0
-    assert c.recall == 0.0
-    assert c.f_measure == 0.0
+    assert c.tolist() == [0, 0, 0, np.count_nonzero(m)]
+    assert precision_recall_f(c) == (1.0, 0.0, 0.0)
 
 
 def test_pr_threshold_domain():
@@ -408,12 +406,10 @@ def test_pr_two_annotator_hand_table():
     det[1:7, 2] = 0.8
     det[1:4, 5] = 0.8
     c = pr_at_threshold(det, AnnotationSet([a, b]), 0.5, 1.0, post_process=False)
-    assert c.total_detected == 9
-    assert c.matched_detected == 9
-    assert c.matched_gt == 9
-    assert c.total_gt == 12
-    assert c.precision == 1.0
-    assert c.recall == pytest.approx(0.75)
+    assert c.tolist() == [9, 9, 9, 12]
+    precision, recall, _ = precision_recall_f(c)
+    assert precision == 1.0
+    assert recall == pytest.approx(0.75)
 
 
 def test_pr_detected_pixel_counts_once_but_covers_all_annotators():
@@ -423,12 +419,8 @@ def test_pr_detected_pixel_counts_once_but_covers_all_annotators():
     m[2, 2] = 1
     det = m.astype(float)
     c = pr_at_threshold(det, AnnotationSet([m, m]), 0.5, 1.0, post_process=False)
-    assert c.matched_detected == 1
-    assert c.total_detected == 1
-    assert c.matched_gt == 2
-    assert c.total_gt == 2
-    assert c.precision == 1.0
-    assert c.recall == 1.0
+    assert c.tolist() == [1, 1, 2, 2]
+    assert precision_recall_f(c)[:2] == (1.0, 1.0)
 
 
 def test_recall_non_increasing_in_threshold():
@@ -436,7 +428,8 @@ def test_recall_non_increasing_in_threshold():
     p = gaussian_filter(rng.random((16, 16)), 1.5)
     p = (p - p.min()) / (p.max() - p.min())
     ann = AnnotationSet([(rng.random((16, 16)) > 0.85).astype(float)])
-    recalls = [pr_at_threshold(p, ann, t, 2.0, False).recall for t in default_thresholds(9)]
+    recalls = [precision_recall_f(pr_at_threshold(p, ann, t, 2.0, False))[1]
+               for t in default_thresholds(9)]
     for r1, r2 in zip(recalls, recalls[1:]):
         assert r2 <= r1 + 1e-12
 
@@ -471,15 +464,14 @@ def test_all_threshold_counts_equal_per_threshold_search():
         p, maps = random_score_case(rng)
         for tol in (1.0, 1.5, 3.0):
             got = _counts_at_thresholds(p, AnnotationSet(maps), thresholds, tol)
-            assert [c.threshold for c in got] == thresholds
-            for c, t in zip(got, thresholds):
+            assert got.shape == (len(thresholds), 4)
+            for c, t in zip(got.tolist(), thresholds):
                 want = priority_counts(p, maps, t, tol)
-                assert (c.matched_detected, c.total_detected, c.matched_gt, c.total_gt) == want, \
-                    f"trial {trial} tol {tol} t {t}"
+                assert tuple(c) == want, f"trial {trial} tol {tol} t {t}"
                 det_pts = [tuple(q) for q in np.argwhere(p >= t)]
                 recall_pairs = sum(max_matching_loops(det_pts, [tuple(q) for q in np.argwhere(m)], tol)
                                    for m in maps)
-                assert c.matched_gt == recall_pairs, f"trial {trial} tol {tol} t {t}"
+                assert c[2] == recall_pairs, f"trial {trial} tol {tol} t {t}"
 
 
 def test_all_threshold_counts_after_post_processing():
@@ -492,9 +484,9 @@ def test_all_threshold_counts_after_post_processing():
         thin = nms_thin(p)
         got = _counts_at_thresholds(thin, AnnotationSet(maps), thresholds, 1.5)
         for c, t in zip(got, thresholds):
-            want = priority_counts(thin, maps, t, 1.5)
-            assert (c.matched_detected, c.total_detected, c.matched_gt, c.total_gt) == want
-            assert c == pr_at_threshold(p, AnnotationSet(maps), t, 1.5, post_process=True)
+            assert tuple(c.tolist()) == priority_counts(thin, maps, t, 1.5)
+            assert np.array_equal(c, pr_at_threshold(p, AnnotationSet(maps), t, 1.5,
+                                                     post_process=True))
 
 
 @st.composite
@@ -520,9 +512,7 @@ def score_case(draw):
 def test_matched_counts_never_rise_with_the_threshold(case):
     p, maps, tol, thresholds = case
     counts = _counts_at_thresholds(p, AnnotationSet(maps), thresholds, tol)
-    for lower, higher in zip(counts, counts[1:]):
-        assert higher.matched_detected <= lower.matched_detected
-        assert higher.matched_gt <= lower.matched_gt
+    assert (np.diff(counts, axis=0) <= 0).all()
 
 
 @settings(max_examples=200, deadline=None)
@@ -531,26 +521,39 @@ def test_counts_at_a_threshold_do_not_depend_on_the_grid(case, pick):
     p, maps, tol, thresholds = case
     t = thresholds[pick % len(thresholds)]
     swept = _counts_at_thresholds(p, AnnotationSet(maps), thresholds, tol)
-    assert swept[thresholds.index(t)] == _counts_at_thresholds(p, AnnotationSet(maps), [t], tol)[0]
+    assert np.array_equal(swept[thresholds.index(t)],
+                          _counts_at_thresholds(p, AnnotationSet(maps), [t], tol)[0])
 
 
 # ---------------------------------------------------------------------------
 # summarize
 
 
+def test_precision_recall_f_empty_set_rules():
+    # (matched detected, detected, matched GT, GT) -> (precision, recall, f)
+    rows = {(0, 0, 0, 0): (1.0, 1.0, 1.0),    # nothing detected, no GT
+            (0, 0, 0, 5): (1.0, 0.0, 0.0),    # nothing detected
+            (0, 3, 0, 0): (0.0, 1.0, 0.0),    # no GT
+            (0, 3, 0, 5): (0.0, 0.0, 0.0),    # P + R = 0
+            (1, 2, 3, 4): (0.5, 0.75, 0.6)}
+    precision, recall, f = precision_recall_f(list(rows))
+    assert list(zip(precision.tolist(), recall.tolist(), f.tolist())) == list(rows.values())
+
+
 def test_summarize_perfect_detection_saturates():
     m = ring_mask()
+    thresholds = default_thresholds(5)
     rows = [pr_at_threshold(m.astype(float), AnnotationSet([m]), t, 1.0, False)
-            for t in default_thresholds(5)]
-    scores, curve = summarize([rows])
+            for t in thresholds]
+    scores, curve = summarize([rows], thresholds)
     assert scores.ods == 1.0 and scores.ois == 1.0 and scores.ap == 1.0
-    assert [r[0] for r in curve] == default_thresholds(5)
+    assert [r[0] for r in curve] == thresholds
 
 
 def test_summarize_hand_computed_two_images():
-    img1 = [MatchCounts(0.25, 2, 4, 2, 2), MatchCounts(0.5, 2, 2, 2, 2), MatchCounts(0.75, 1, 1, 1, 2)]
-    img2 = [MatchCounts(0.25, 1, 2, 1, 2), MatchCounts(0.5, 1, 1, 1, 2), MatchCounts(0.75, 0, 0, 0, 2)]
-    scores, curve = summarize([img1, img2])
+    img1 = [(2, 4, 2, 2), (2, 2, 2, 2), (1, 1, 1, 2)]
+    img2 = [(1, 2, 1, 2), (1, 1, 1, 2), (0, 0, 0, 2)]
+    scores, curve = summarize([img1, img2], [0.25, 0.5, 0.75])
     # aggregated: t=.25 -> P=.5, R=.75; t=.5 -> P=1, R=.75; t=.75 -> P=1, R=.25
     assert scores.ods == pytest.approx(6 / 7, rel=1e-12)
     assert scores.ois == pytest.approx((1.0 + 2 / 3) / 2, rel=1e-12)
@@ -559,39 +562,54 @@ def test_summarize_hand_computed_two_images():
 
 
 def test_summarize_count_scaling_invariance():
-    img = [MatchCounts(0.25, 2, 4, 2, 3), MatchCounts(0.5, 1, 2, 1, 3)]
-    scaled = [MatchCounts(c.threshold, 3 * c.matched_detected, 3 * c.total_detected,
-                          3 * c.matched_gt, 3 * c.total_gt) for c in img]
-    s1, _ = summarize([img])
-    s2, _ = summarize([scaled])
+    img = np.array([[(2, 4, 2, 3), (1, 2, 1, 3)]])
+    s1, _ = summarize(img, [0.25, 0.5])
+    s2, _ = summarize(3 * img, [0.25, 0.5])
     assert s1.ods == pytest.approx(s2.ods, rel=1e-15)
     assert s1.ap == pytest.approx(s2.ap, rel=1e-15)
 
 
+def random_counts(rng, n_images, n_thresholds):
+    """(images, thresholds, 4) counts with matched <= total in each pair;
+    now and then an image detects nothing or has no GT, and small totals
+    make tied F values common."""
+    top = int(rng.choice([3, 30]))
+    detected = rng.integers(0, top, (n_images, n_thresholds))
+    gt = np.repeat(rng.integers(0, top, (n_images, 1)), n_thresholds, axis=1)
+    detected[rng.random(n_images) < 0.2] = 0
+    gt[rng.random(n_images) < 0.2] = 0
+    matched_detected = rng.integers(0, detected + 1)
+    matched_gt = rng.integers(0, gt + 1)
+    return np.stack([matched_detected, detected, matched_gt, gt], axis=-1)
+
+
+def test_summarize_equals_scalar_loops():
+    rng = np.random.default_rng(8)
+    for trial in range(300):
+        thresholds = default_thresholds(int(rng.integers(1, 10)))
+        counts = random_counts(rng, int(rng.integers(1, 40)), len(thresholds))
+        scores, curve = summarize(counts, thresholds)
+        want = summarize_loops(counts.tolist(), thresholds)
+        assert (scores.ods, scores.ois, scores.ap, curve) == want, f"trial {trial}"
+        assert all(type(v) is float for row in curve for v in row)
+
+
 def test_summarize_ods_at_least_any_shared_threshold_f():
     rng = np.random.default_rng(3)
-    images = []
-    for _ in range(4):
-        rows = []
-        for t in default_thresholds(7):
-            td = int(rng.integers(0, 30))
-            md = int(rng.integers(0, td + 1))
-            tg = int(rng.integers(1, 30))
-            mg = int(rng.integers(0, min(md, tg) + 1))
-            rows.append(MatchCounts(t, md, td, mg, tg))
-        images.append(rows)
-    scores, curve = summarize(images)
+    thresholds = default_thresholds(7)
+    counts = random_counts(rng, 4, len(thresholds))
+    scores, curve = summarize(counts, thresholds)
     for _, _, _, f in curve:
         assert scores.ods >= f - 1e-15
 
 
-def test_summarize_requires_consistent_grid():
-    a = [MatchCounts(0.25, 1, 1, 1, 1)]
-    b = [MatchCounts(0.5, 1, 1, 1, 1)]
-    with pytest.raises(ContractError):
-        summarize([a, b])
-    with pytest.raises(ContractError):
-        summarize([])
+def test_summarize_requires_counts_shaped_images_thresholds_4():
+    thresholds = default_thresholds(3)
+    for shape in [(0, 3, 4), (2, 2, 4), (2, 3, 3), (2, 3), (1, 2, 3, 4)]:
+        with pytest.raises(ContractError, match="counts must be shaped"):
+            summarize(np.ones(shape, dtype=np.int64), thresholds)
+    with pytest.raises(ContractError, match="counts must be shaped"):
+        summarize(np.ones((2, 0, 4), dtype=np.int64), [])
 
 
 def test_average_precision_degenerate_cases():

@@ -210,6 +210,10 @@ def test_ablation_checks_the_holdout_before_training(monkeypatch):
     monkeypatch.setattr(trainer, "train", no_training)
     with pytest.raises(ContractError, match="non-empty holdout"):
         ablation_run(tiny_set(4), config=TrainConfig(epochs=1, holdout_fraction=0.0))
+    # a bad mode after good ones is caught before the good ones train
+    with pytest.raises(ContractError, match="bogus"):
+        ablation_run(tiny_set(10), modes=("sce", "sd", "bogus"),
+                     config=TrainConfig(epochs=1, holdout_fraction=0.5))
 
 
 def test_loss_trace_csv_shapes():
