@@ -15,7 +15,7 @@ from crispedge import (
 
 topo = default_topology()
 print("encoder stages :", [(s.channels, s.stride) for s in topo.encoder_stages])
-print("refine levels  :", [len(level) for level in topo.refine_levels], "blocks per level")
+print("refine blocks  :", [spec.name for spec in topo.refine_blocks], "in build order")
 
 net = build_refine_net(topo, seed=0)
 n_params = sum(p.data.size for p in net.params())

@@ -71,8 +71,6 @@ DEFAULTS = {
     "train.batch_size": "10",
     "train.epochs": "40",
     "train.loss_mode": "awl",
-    "train.manual_kappa": "1.0",
-    "train.manual_tau": "1.0",
     "train.lr_decay_epochs": "30",
     "train.holdout_fraction": "0.2",
     "train.eval_fraction": "0.05",
@@ -183,8 +181,6 @@ def _train_config(cfg, seed):
         batch_size=cfg.get("train.batch_size", int),
         epochs=cfg.get("train.epochs", int),
         loss_mode=cfg.get("train.loss_mode"),
-        manual_kappa=cfg.get("train.manual_kappa", float),
-        manual_tau=cfg.get("train.manual_tau", float),
         optimizer=opt,
         lr_decay_epochs=cfg.get_list("train.lr_decay_epochs", int),
         seed=seed,

@@ -34,8 +34,8 @@ class Sample:
 
     def __post_init__(self):
         shape = self.image.data.shape
-        if shape[0] != 1 or shape[1] not in (1, 3):
-            raise ShapeError(f"sample image must be (1, 1|3, h, w), got {shape}")
+        if shape[:2] != (1, 1):
+            raise ShapeError(f"sample image must be (1, 1, h, w), got {shape}")
         if shape[2:] != self.annotations.spatial_shape:
             raise ShapeError(
                 f"image spatial dims {shape[2:]} do not match "

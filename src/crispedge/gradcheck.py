@@ -103,9 +103,8 @@ def composite_error(seed):
     """Worst relative error over two sampled coordinates of every parameter
     of a two-stage network with one refine block, under the adaptive loss."""
     topo = NetworkTopology(
-        in_channels=1,
         encoder_stages=(StageSpec(4, 1), StageSpec(8, 2)),
-        refine_levels=((RefineBlockSpec("r0", (("enc1", 1), ("enc2", 2))),),),
+        refine_blocks=(RefineBlockSpec("r0", (("enc1", 1), ("enc2", 2))),),
     )
     net = build_refine_net(topo, seed=seed)
     rng = np.random.default_rng([seed, 99])

@@ -3,7 +3,7 @@
 Every loss reads one label view: the consensus weight map, holding the
 fraction of annotators that marked each pixel. A class-balanced cross-entropy
 and an overlap (dice-style) loss are taken against it, plus two fusions of the
-pair: fixed weights, and trainable weights with a log-barrier coupling term.
+pair: their 1:1 sum, and trainable weights with a log-barrier coupling term.
 """
 
 from __future__ import annotations
@@ -169,14 +169,9 @@ def soft_dice(p: Tensor, wmap: ConsensusWeightMap, config: LossConfig = LossConf
     return mul(num, reciprocal(den))
 
 
-def combined_loss(p: Tensor, wmap: ConsensusWeightMap, kappa_fixed: float, tau_fixed: float,
-                  config: LossConfig = LossConfig()) -> Tensor:
-    """Fixed-weight fusion of the two soft losses."""
-    if not all(math.isfinite(v) and v >= 0.0 for v in (kappa_fixed, tau_fixed)):
-        raise ContractError(f"fixed fusion weights must be finite and non-negative, "
-                            f"got {kappa_fixed}, {tau_fixed}")
-    return add(mul(soft_ce(p, wmap, config), kappa_fixed),
-               mul(soft_dice(p, wmap, config), tau_fixed))
+def combined_loss(p: Tensor, wmap: ConsensusWeightMap, config: LossConfig = LossConfig()) -> Tensor:
+    """Fixed 1:1 fusion of the two soft losses."""
+    return add(soft_ce(p, wmap, config), soft_dice(p, wmap, config))
 
 
 def adaptive_loss(p: Tensor, wmap: ConsensusWeightMap, awl: AdaptiveLossState,

@@ -5,7 +5,8 @@ Refine blocks then fuse pairs or triples of those features: every input is
 projected to a shared channel count when needed, upsampled to the finest
 participating resolution, summed, and passed through a gated 3x3 convolution
 whose scalar gate the optimizer can open or close per layer. A 1x1 head with
-bias and sigmoid turns the finest fused feature into a probability map.
+bias and sigmoid turns the last block's full-resolution feature into a
+probability map.
 """
 
 from __future__ import annotations
@@ -51,9 +52,11 @@ class RefineBlockSpec:
 
 @dataclass(frozen=True)
 class NetworkTopology:
-    in_channels: int
+    """Encoder stages over a one-channel image, then refine blocks in build
+    order; the last block feeds the prediction head."""
+
     encoder_stages: tuple[StageSpec, ...]
-    refine_levels: tuple[tuple[RefineBlockSpec, ...], ...]
+    refine_blocks: tuple[RefineBlockSpec, ...]
 
     def validate(self) -> dict[str, tuple[int, int]]:
         """Check wiring and return {source id: (channels, scale denominator)}.
@@ -61,11 +64,9 @@ class NetworkTopology:
         A block fuses 1 to 3 inputs at neighboring resolutions (each step at
         most 2x) or exactly 2 inputs 4x apart. It has its smallest input
         channel count and its finest input's resolution. Raises
-        TopologyError on dangling references, misdeclared scales, or inputs
-        outside that rule.
+        TopologyError on dangling references, misdeclared scales, inputs
+        outside that rule, or a last block below full resolution.
         """
-        if self.in_channels < 1:
-            raise TopologyError(f"in_channels must be >= 1, got {self.in_channels}")
         if not self.encoder_stages:
             raise TopologyError("topology needs at least one encoder stage")
         known: dict[str, tuple[int, int]] = {}
@@ -75,58 +76,50 @@ class NetworkTopology:
                 raise TopologyError(f"encoder stage {i} has invalid channels/stride {st}")
             scale *= st.stride
             known[f"enc{i}"] = (st.channels, scale)
-        if not self.refine_levels or not self.refine_levels[-1]:
-            raise TopologyError("topology needs at least one refine level with one block")
-        for level in self.refine_levels:
-            for spec in level:
-                if spec.name in known:
-                    raise TopologyError(f"duplicate block name {spec.name!r}")
-                if not spec.input_slots:
-                    raise TopologyError(f"block {spec.name!r} has no inputs")
-                for src, declared_scale in spec.input_slots:
-                    if src not in known:
-                        raise TopologyError(f"block {spec.name!r} references unknown source {src!r}")
-                    if known[src][1] != declared_scale:
-                        raise TopologyError(
-                            f"block {spec.name!r} declares source {src!r} at 1/{declared_scale}, "
-                            f"but it lives at 1/{known[src][1]}")
-                chans, scales = zip(*(known[src] for src, _ in spec.input_slots))
-                if list(scales) != sorted(scales):
-                    raise TopologyError(f"block {spec.name!r} inputs must be listed finest first")
-                neighboring = len(scales) <= 3 and all(b <= 2 * a for a, b in zip(scales, scales[1:]))
-                four_apart = len(scales) == 2 and scales[1] == 4 * scales[0]
-                if not (neighboring or four_apart):
+        if not self.refine_blocks:
+            raise TopologyError("topology needs at least one refine block")
+        for spec in self.refine_blocks:
+            if spec.name in known:
+                raise TopologyError(f"duplicate block name {spec.name!r}")
+            if not spec.input_slots:
+                raise TopologyError(f"block {spec.name!r} has no inputs")
+            for src, declared_scale in spec.input_slots:
+                if src not in known:
+                    raise TopologyError(f"block {spec.name!r} references unknown source {src!r}")
+                if known[src][1] != declared_scale:
                     raise TopologyError(
-                        f"block {spec.name!r} takes 1 to 3 inputs at neighboring resolutions "
-                        f"(each step at most 2x) or 2 inputs 4x apart, got {list(scales)}")
-                known[spec.name] = (min(chans), scales[0])
-        if min(known[s.name][1] for s in self.refine_levels[-1]) != 1:
-            raise TopologyError("the final refine level must produce a full-resolution output "
+                        f"block {spec.name!r} declares source {src!r} at 1/{declared_scale}, "
+                        f"but it lives at 1/{known[src][1]}")
+            chans, scales = zip(*(known[src] for src, _ in spec.input_slots))
+            if list(scales) != sorted(scales):
+                raise TopologyError(f"block {spec.name!r} inputs must be listed finest first")
+            neighboring = len(scales) <= 3 and all(b <= 2 * a for a, b in zip(scales, scales[1:]))
+            four_apart = len(scales) == 2 and scales[1] == 4 * scales[0]
+            if not (neighboring or four_apart):
+                raise TopologyError(
+                    f"block {spec.name!r} takes 1 to 3 inputs at neighboring resolutions "
+                    f"(each step at most 2x) or 2 inputs 4x apart, got {list(scales)}")
+            known[spec.name] = (min(chans), scales[0])
+        if known[self.head_source()][1] != 1:
+            raise TopologyError("the last refine block must produce a full-resolution output "
                                 "for the prediction head")
         return known
 
     def head_source(self) -> str:
-        known = self.validate()
-        final = self.refine_levels[-1]
-        return min(final, key=lambda s: known[s.name][1]).name
+        return self.refine_blocks[-1].name
 
 
-def default_topology(in_channels: int = 1) -> NetworkTopology:
+def default_topology() -> NetworkTopology:
     """Four encoder stages at 1, 1/2, 1/4, 1/8 resolution; two blocks over
-    4x gaps and one over three neighboring resolutions in the first refine
-    level, fused by a single block in the second."""
+    4x gaps and one over three neighboring resolutions, fused at full
+    resolution by a fourth block."""
     return NetworkTopology(
-        in_channels=in_channels,
         encoder_stages=(StageSpec(8, 1), StageSpec(16, 2), StageSpec(32, 2), StageSpec(64, 2)),
-        refine_levels=(
-            (
-                RefineBlockSpec("r1a", (("enc1", 1), ("enc3", 4))),
-                RefineBlockSpec("r1b", (("enc2", 2), ("enc4", 8))),
-                RefineBlockSpec("r1c", (("enc2", 2), ("enc3", 4), ("enc4", 8))),
-            ),
-            (
-                RefineBlockSpec("r2a", (("r1a", 1), ("r1b", 2), ("r1c", 2))),
-            ),
+        refine_blocks=(
+            RefineBlockSpec("r1a", (("enc1", 1), ("enc3", 4))),
+            RefineBlockSpec("r1b", (("enc2", 2), ("enc4", 8))),
+            RefineBlockSpec("r1c", (("enc2", 2), ("enc3", 4), ("enc4", 8))),
+            RefineBlockSpec("r2a", (("r1a", 1), ("r1b", 2), ("r1c", 2))),
         ),
     )
 
@@ -220,9 +213,8 @@ class RefineNet:
         return out
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.shape[1] != self.topology.in_channels:
-            raise ShapeError(f"network expects {self.topology.in_channels} input channels, "
-                             f"got {x.shape[1]}")
+        if x.shape[1] != 1:
+            raise ShapeError(f"network reads one-channel images, got {x.shape[1]} channels")
         feats: dict[str, Tensor] = {}
         h = x
         for i, (kernel, st) in enumerate(zip(self.encoder_kernels, self.topology.encoder_stages), start=1):
@@ -253,23 +245,22 @@ def build_refine_net(topology: NetworkTopology | None = None, seed: int = 0) -> 
         return Parameter(rng.uniform(-bound, bound, (out_ch, in_ch, kh, kw)))
 
     encoder_kernels = []
-    prev = topology.in_channels
+    prev = 1
     for st in topology.encoder_stages:
         encoder_kernels.append(kernel(st.channels, prev, 3, 3))
         prev = st.channels
 
     blocks = []
-    for level in topology.refine_levels:
-        for spec in level:
-            out_ch = known[spec.name][0]
-            projections = {}
-            for src, _ in spec.input_slots:
-                src_ch = known[src][0]
-                if src_ch != out_ch:
-                    projections[src] = kernel(out_ch, src_ch, 1, 1)
-            wconv = WeightConvLayer(kernel(out_ch, out_ch, 3, 3),
-                                    Parameter(np.zeros((1, 1, 1, 1))))
-            blocks.append(RefineBlock(spec, projections, wconv))
+    for spec in topology.refine_blocks:
+        out_ch = known[spec.name][0]
+        projections = {}
+        for src, _ in spec.input_slots:
+            src_ch = known[src][0]
+            if src_ch != out_ch:
+                projections[src] = kernel(out_ch, src_ch, 1, 1)
+        wconv = WeightConvLayer(kernel(out_ch, out_ch, 3, 3),
+                                Parameter(np.zeros((1, 1, 1, 1))))
+        blocks.append(RefineBlock(spec, projections, wconv))
 
     head_src = topology.head_source()
     head_kernel = kernel(1, known[head_src][0], 1, 1)

@@ -35,8 +35,6 @@ class TrainConfig:
     batch_size: int = 10
     epochs: int = 40
     loss_mode: str = "awl"
-    manual_kappa: float = 1.0   # sce+sd mode only
-    manual_tau: float = 1.0
     optimizer: OptimizerConfig = OptimizerConfig()
     lr_decay_epochs: tuple = (30,)
     seed: int = 0
@@ -45,7 +43,7 @@ class TrainConfig:
     loss_config: LossConfig = LossConfig()
 
     def __post_init__(self):
-        for name in ("manual_kappa", "manual_tau", "holdout_fraction", "eval_fraction"):
+        for name in ("holdout_fraction", "eval_fraction"):
             if not math.isfinite(getattr(self, name)):
                 raise ContractError(f"{name} must be finite, got {getattr(self, name)}")
         if self.batch_size < 1:
@@ -54,8 +52,6 @@ class TrainConfig:
             raise ContractError(f"epochs must be >= 0, got {self.epochs}")
         if self.loss_mode not in LOSS_MODES:
             raise ContractError(f"loss_mode must be one of {LOSS_MODES}, got '{self.loss_mode}'")
-        if self.manual_kappa < 0 or self.manual_tau < 0:
-            raise ContractError("manual fusion weights must be non-negative")
         if not 0.0 <= self.holdout_fraction < 1.0:
             raise ContractError(f"holdout_fraction must be in [0, 1), got {self.holdout_fraction}")
         if self.eval_fraction <= 0.0:
@@ -92,8 +88,7 @@ def _batch_loss(pred, wmap, config, awl_state):
     if mode == "sd":
         return soft_dice(pred, wmap, config.loss_config)
     if mode == "sce+sd":
-        return combined_loss(pred, wmap, config.manual_kappa, config.manual_tau,
-                             config.loss_config)
+        return combined_loss(pred, wmap, config.loss_config)
     return adaptive_loss(pred, wmap, awl_state, config.loss_config)
 
 

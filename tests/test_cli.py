@@ -1,11 +1,12 @@
 import os
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from crispedge import tensorcore as tc
+from crispedge import cli, tensorcore as tc
 from crispedge.cli import run
 from crispedge.data import (
     gen_synthetic,
@@ -17,6 +18,7 @@ from crispedge.data import (
     write_image,
 )
 from crispedge.network import build_refine_net, default_topology
+from crispedge.trainer import TrainConfig
 
 
 def invoke(capsys, *argv):
@@ -30,7 +32,7 @@ def read_bytes_map(root):
     for dirpath, _, names in os.walk(root):
         for n in sorted(names):
             p = os.path.join(dirpath, n)
-            out[os.path.relpath(p, root)] = open(p, "rb").read()
+            out[os.path.relpath(p, root)] = Path(p).read_bytes()
     return out
 
 
@@ -77,7 +79,7 @@ def test_train_outputs_and_determinism(tmp_path, capsys):
     assert "ods_c=" in out
     assert invoke(capsys, *args, "--out-dir", o2)[0] == 0
     assert read_bytes_map(o1) == read_bytes_map(o2)
-    report = open(os.path.join(o1, "report.csv")).read()
+    report = Path(o1, "report.csv").read_text()
     assert report.startswith("epoch,loss")
     assert os.path.exists(os.path.join(o1, "scores.txt"))
 
@@ -93,7 +95,7 @@ def test_infer_scales_one_equals_plain(tmp_path, capsys):
     assert invoke(capsys, "infer", "--params", params, "--image", image, "--out", p1)[0] == 0
     assert invoke(capsys, "infer", "--params", params, "--image", image,
                   "--scales", "1", "--out", p2)[0] == 0
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_infer_lies_within_float32_bound_of_float64_forward(tmp_path, capsys):
@@ -154,7 +156,7 @@ def test_eval_d0_line_matches_standard_geometry(tmp_path, capsys):
     for name in ("scores.txt", "pr_correctness.csv", "pr_localness.csv",
                  "pr_thickness.csv"):
         assert os.path.exists(str(tmp_path / "e" / name))
-    csv = open(str(tmp_path / "e" / "pr_correctness.csv")).read()
+    csv = (tmp_path / "e" / "pr_correctness.csv").read_text()
     assert csv.startswith("threshold,precision,recall,f\n")
 
 
@@ -239,6 +241,11 @@ def test_unknown_config_key_exits_3(tmp_path, capsys):
     assert "gen.coutn" in err
 
 
+def test_cli_defaults_give_the_default_train_config():
+    # DEFAULTS repeats the train.*, opt.* and loss.* defaults as strings
+    assert cli._train_config(cli.CliConfig.load(None, {}), 0) == TrainConfig()
+
+
 def test_bad_config_value_exits_3(tmp_path, capsys):
     cfgfile = tmp_path / "c.cfg"
     cfgfile.write_text("gen.count = many\n")
@@ -256,6 +263,8 @@ BAD_CONFIG_VALUES = [
      "config key 'train.lr_decay_epochs' wants comma-separated integers, got '1,x'"),
     ("infer.scales = 1,x", "infer --params {dir}/params.crb --image {dir}/image.pgm",
      "config key 'infer.scales' wants comma-separated numbers, got '1,x'"),
+    ("train.manual_kappa = 1", "train --manifest {dir}/ds/manifest.tsv --out-dir {dir}/t",
+     "{dir}/c.cfg:1: unknown config key 'train.manual_kappa'"),
 ]
 
 
@@ -267,7 +276,7 @@ def test_bad_config_value_message(tmp_path, capsys, line, argv, message):
     args = argv.format(dir=tmp_path).split()
     code, _, err = invoke(capsys, *args, "--config", str(tmp_path / "c.cfg"))
     assert code == 3
-    assert err == f"crispedge: {args[0]}: {message}\n"
+    assert err == f"crispedge: {args[0]}: {message.format(dir=tmp_path)}\n"
 
 
 SETTING_FLAGS = {
@@ -327,8 +336,9 @@ def exit_case_inputs(tmp_path):
     and image, each also with a NaN, a two-sample training set, a manifest
     and a config file that hold a non-ASCII byte, a config file whose
     holdout fraction is out of range, an empty manifest, and a
-    CRB whose header dims overflow int64 with no payload, and an image of
-    1e39, finite in float64 but past float32's range."""
+    CRB whose header dims overflow int64 with no payload, an image of
+    1e39, finite in float64 but past float32's range, and a three-channel
+    image."""
     rng = np.random.default_rng(4)
     ann = np.zeros((16, 16))
     ann[8, 2:14] = 1.0
@@ -353,6 +363,7 @@ def exit_case_inputs(tmp_path):
     image[4, 9] = np.nan
     write_crb(str(tmp_path / "nan-image.crb"), image[None, None])
     write_crb(str(tmp_path / "huge-image.crb"), np.full((1, 1, 16, 16), 1e39))
+    write_crb(str(tmp_path / "rgb-image.crb"), np.full((3, 16, 16), 0.5))
     (tmp_path / "latin.tsv").write_bytes(b"x\tpr\xe9d.crb\tann.pgm\ttest\n")
     (tmp_path / "latin.cfg").write_bytes(b"# caf\xe9\ngen.count = 2\n")
     (tmp_path / "holdout.cfg").write_text("train.holdout_fraction = 1.5\n")
@@ -396,6 +407,8 @@ EXIT_CASES = [
      "infer --params {dir}/params.crb --image {dir}/nan-image.crb --out {dir}/p.crb", 5),
     ("infer-image-beyond-float32",
      "infer --params {dir}/params.crb --image {dir}/huge-image.crb --out {dir}/p.crb", 5),
+    ("infer-three-channel-image",
+     "infer --params {dir}/params.crb --image {dir}/rgb-image.crb --out {dir}/p.crb", 4),
     ("gen-negative-seed", "gen --count 1 --height 24 --width 24 --seed -1 --out-dir {dir}/g", 3),
     ("gradcheck-negative-seed", "gradcheck --seed -1", 3),
     ("eval-empty-manifest", "eval --manifest {dir}/empty.tsv --out-dir {dir}/e", 4),
@@ -470,7 +483,7 @@ def test_ablate_writes_mode_rows(tmp_path, capsys):
                           "--modes", "sce,sd", "--epochs", "1",
                           "--seed", "1", "--out-dir", out)
     assert code == 0, err
-    csv = open(os.path.join(out, "ablation.csv")).read()
+    csv = Path(out, "ablation.csv").read_text()
     lines = csv.strip().split("\n")
     assert lines[0] == "mode,ods_c,ods_l,ods_t"
     assert lines[1].startswith("sce,")

@@ -117,8 +117,9 @@ def test_sample_validation():
     img = Tensor(np.zeros((1, 1, 8, 8)))
     with pytest.raises(ShapeError):
         Sample("x", img, AnnotationSet([np.zeros((9, 8))]))
-    with pytest.raises(ShapeError):
-        Sample("x", Tensor(np.zeros((1, 2, 8, 8))), AnnotationSet([np.zeros((8, 8))]))
+    for channels in (2, 3):
+        with pytest.raises(ShapeError, match=r"\(1, 1, h, w\)"):
+            Sample("x", Tensor(np.zeros((1, channels, 8, 8))), AnnotationSet([np.zeros((8, 8))]))
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +206,7 @@ def test_crb_roundtrip_bit_exact(tmp_path):
 def test_crb_truncated_names_byte_counts(tmp_path):
     p = str(tmp_path / "t.crb")
     write_crb(p, np.ones((3, 3)))
-    raw = open(p, "rb").read()
+    raw = (tmp_path / "t.crb").read_bytes()
     short = tmp_path / "short.crb"
     short.write_bytes(raw[:-10])
     with pytest.raises(ParseError, match="expected 72 bytes, 62 available"):

@@ -186,22 +186,12 @@ def test_soft_dice_lower_bound():
 
 
 def test_combined_reductions_are_exact():
+    # the fixed fusion is one float64 add of the two losses
     rng = np.random.default_rng(4)
-    p_arr = rng.uniform(0.05, 0.95, (4, 4))
-    w = random_w(rng)
-    wm = ConsensusWeightMap.from_array(w)
-    sce_only = combined_loss(Tensor(p_arr), wm, 1.0, 0.0, CFG).item()
-    sd_only = combined_loss(Tensor(p_arr), wm, 0.0, 1.0, CFG).item()
-    assert sce_only == soft_ce(Tensor(p_arr), wm, CFG).item()
-    assert sd_only == soft_dice(Tensor(p_arr), wm, CFG).item()
-    both = combined_loss(Tensor(p_arr), wm, 1.0, 1.0, CFG).item()
-    assert rel_err(both, sce_only + sd_only) < 1e-12
-
-
-def test_combined_rejects_negative_weights():
-    wm = ConsensusWeightMap.from_array(np.zeros((2, 2)))
-    with pytest.raises(ContractError):
-        combined_loss(Tensor(np.full((1, 1, 2, 2), 0.5)), wm, -1.0, 0.0, CFG)
+    p = Tensor(rng.uniform(0.05, 0.95, (4, 4)))
+    wm = ConsensusWeightMap.from_array(random_w(rng))
+    sce, sd = soft_ce(p, wm, CFG).item(), soft_dice(p, wm, CFG).item()
+    assert combined_loss(p, wm, CFG).item() == sce + sd
 
 
 def test_adaptive_closed_form_at_unit_weights():
@@ -290,7 +280,7 @@ def test_loss_gradients_wrt_p_match_fd():
     builders = [
         lambda t: soft_ce(t, wm, CFG),
         lambda t: soft_dice(t, wm, CFG),
-        lambda t: combined_loss(t, wm, 0.7, 1.3, CFG),
+        lambda t: combined_loss(t, wm, CFG),
         lambda t: adaptive_loss(t, wm, state, CFG),
     ]
     for build in builders:

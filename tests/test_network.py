@@ -38,9 +38,8 @@ F32_ATOL = 32 * float(np.finfo(np.float32).eps)
 
 def small_topology():
     return NetworkTopology(
-        in_channels=1,
         encoder_stages=(StageSpec(4, 1), StageSpec(8, 2)),
-        refine_levels=((RefineBlockSpec("r1", (("enc1", 1), ("enc2", 2))),),),
+        refine_blocks=(RefineBlockSpec("r1", (("enc1", 1), ("enc2", 2))),),
     )
 
 
@@ -96,9 +95,8 @@ def test_gate_monotone_in_alpha():
 
 def test_topology_dangling_source():
     topo = NetworkTopology(
-        in_channels=1,
         encoder_stages=(StageSpec(4, 1),),
-        refine_levels=((RefineBlockSpec("r1", (("enc9", 1),)),),),
+        refine_blocks=(RefineBlockSpec("r1", (("enc9", 1),)),),
     )
     with pytest.raises(TopologyError):
         topo.validate()
@@ -113,13 +111,12 @@ _SOURCES_AT = {1: ("enc1", "enc2"), 2: ("enc3", "enc4"), 4: ("enc5", "enc6"), 8:
 
 def _fusion_topology(scales):
     """Block "r" reads one encoder source at each of ``scales``, in order; a
-    final block fuses it with enc1 for the head."""
+    last block fuses it with enc1 for the head."""
     slots = tuple((_SOURCES_AT[s][scales[:i].count(s)], s) for i, s in enumerate(scales))
     return NetworkTopology(
-        in_channels=1,
         encoder_stages=_FUSION_STAGES,
-        refine_levels=((RefineBlockSpec("r", slots),),
-                       (RefineBlockSpec("top", (("enc1", 1), ("r", scales[0]))),)),
+        refine_blocks=(RefineBlockSpec("r", slots),
+                       RefineBlockSpec("top", (("enc1", 1), ("r", scales[0])))),
     )
 
 
@@ -155,9 +152,8 @@ def test_fusion_rule_rejects(scales):
 
 def test_topology_final_level_must_reach_full_resolution():
     topo = NetworkTopology(
-        in_channels=1,
         encoder_stages=(StageSpec(4, 1), StageSpec(8, 2), StageSpec(8, 2)),
-        refine_levels=((RefineBlockSpec("r1", (("enc2", 2), ("enc3", 4))),),),
+        refine_blocks=(RefineBlockSpec("r1", (("enc2", 2), ("enc3", 4))),),
     )
     with pytest.raises(TopologyError):
         topo.validate()
@@ -165,16 +161,18 @@ def test_topology_final_level_must_reach_full_resolution():
 
 def test_topology_wrong_declared_scale():
     topo = NetworkTopology(
-        in_channels=1,
         encoder_stages=(StageSpec(4, 1), StageSpec(8, 2)),
-        refine_levels=((RefineBlockSpec("r1", (("enc1", 1), ("enc2", 4))),),),
+        refine_blocks=(RefineBlockSpec("r1", (("enc1", 1), ("enc2", 4))),),
     )
     with pytest.raises(TopologyError):
         topo.validate()
 
 
 def test_default_topology_validates():
-    known = default_topology().validate()
+    topo = default_topology()
+    assert [spec.name for spec in topo.refine_blocks] == ["r1a", "r1b", "r1c", "r2a"]
+    assert topo.head_source() == "r2a"
+    known = topo.validate()
     assert known["r1a"] == (8, 1)
     assert known["r1b"] == (16, 2)
     assert known["r1c"] == (16, 2)
@@ -240,21 +238,19 @@ def test_refine_block_empty_inputs():
 
 def test_forward_channel_mismatch():
     net = build_refine_net(seed=0)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="network reads one-channel images, got 3 channels"):
         net.forward(Tensor(np.zeros((1, 3, 16, 16))))
 
 
 def test_resolution_contract_on_variant_topologies():
     variants = [
         default_topology(),
-        default_topology(in_channels=3),
         NetworkTopology(
-            in_channels=1,
             encoder_stages=(StageSpec(4, 1), StageSpec(8, 2), StageSpec(12, 2)),
-            refine_levels=(
-                (RefineBlockSpec("a", (("enc1", 1), ("enc3", 4))),
-                 RefineBlockSpec("b", (("enc2", 2), ("enc3", 4)))),
-                (RefineBlockSpec("c", (("a", 1), ("b", 2))),),
+            refine_blocks=(
+                RefineBlockSpec("a", (("enc1", 1), ("enc3", 4))),
+                RefineBlockSpec("b", (("enc2", 2), ("enc3", 4))),
+                RefineBlockSpec("c", (("a", 1), ("b", 2))),
             ),
         ),
     ]
@@ -263,7 +259,7 @@ def test_resolution_contract_on_variant_topologies():
         known = topo.validate()
         net = build_refine_net(topo, seed=1)
         for h, w in [(16, 16), (24, 33)]:
-            x = Tensor(rng.uniform(0, 1, (1, topo.in_channels, h, w)))
+            x = Tensor(rng.uniform(0, 1, (1, 1, h, w)))
             feats = {}
             # re-run forward manually to inspect each block output
             hcur = x

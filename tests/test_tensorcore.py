@@ -70,20 +70,19 @@ def _default_conv_shapes(h, w):
     convs, the 1x1 projections and the 1x1 head."""
     topo = default_topology()
     known = topo.validate()
-    shapes, c, sizes = [], topo.in_channels, {1: (h, w)}
+    shapes, c, sizes = [], 1, {1: (h, w)}
     for i, st in enumerate(topo.encoder_stages, start=1):
         scale = known[f"enc{i}"][1]
         ih, iw = sizes[scale // st.stride]
         shapes.append((st.channels, c, 3, st.stride, ih, iw))
         sizes[scale] = (-(-ih // st.stride), -(-iw // st.stride))
         c = st.channels
-    for level in topo.refine_levels:
-        for spec in level:
-            out, scale = known[spec.name]
-            for src, src_scale in spec.input_slots:
-                if known[src][0] != out:
-                    shapes.append((out, known[src][0], 1, 1) + sizes[src_scale])
-            shapes.append((out, out, 3, 1) + sizes[scale])
+    for spec in topo.refine_blocks:
+        out, scale = known[spec.name]
+        for src, src_scale in spec.input_slots:
+            if known[src][0] != out:
+                shapes.append((out, known[src][0], 1, 1) + sizes[src_scale])
+        shapes.append((out, out, 3, 1) + sizes[scale])
     shapes.append((1, known[topo.head_source()][0], 1, 1, h, w))
     return shapes
 

@@ -54,26 +54,6 @@ def test_training_is_deterministic():
     assert params_equal(net1, net2)
 
 
-def test_manual_one_zero_equals_sce_exactly():
-    ds = tiny_set()
-    base = dict(batch_size=4, epochs=2, seed=2, holdout_fraction=0.0)
-    net_a, rep_a = train(ds, config=TrainConfig(loss_mode="sce", **base))
-    net_b, rep_b = train(ds, config=TrainConfig(loss_mode="sce+sd",
-                                                manual_kappa=1.0, manual_tau=0.0, **base))
-    assert rep_a.loss_trace == rep_b.loss_trace
-    assert params_equal(net_a, net_b)
-
-
-def test_manual_zero_one_equals_sd_exactly():
-    ds = tiny_set()
-    base = dict(batch_size=4, epochs=2, seed=2, holdout_fraction=0.0)
-    net_a, rep_a = train(ds, config=TrainConfig(loss_mode="sd", **base))
-    net_b, rep_b = train(ds, config=TrainConfig(loss_mode="sce+sd",
-                                                manual_kappa=0.0, manual_tau=1.0, **base))
-    assert rep_a.loss_trace == rep_b.loss_trace
-    assert params_equal(net_a, net_b)
-
-
 def test_loss_decreases():
     ds = tiny_set(16)
     _, report = train(ds, config=TrainConfig(batch_size=4, epochs=12, loss_mode="sce",
@@ -178,8 +158,6 @@ def test_config_validation():
     with pytest.raises(ContractError):
         TrainConfig(batch_size=0)
     with pytest.raises(ContractError):
-        TrainConfig(manual_kappa=-1.0)
-    with pytest.raises(ContractError):
         TrainConfig(holdout_fraction=1.0)
     with pytest.raises(ContractError):
         TrainConfig(epochs=-1)
@@ -189,12 +167,14 @@ def test_config_validation():
 
 def test_ablation_rows_and_equivalence():
     ds = tiny_set(10)
-    cfg = TrainConfig(batch_size=5, epochs=1, seed=3, manual_kappa=1.0, manual_tau=0.0)
+    cfg = TrainConfig(batch_size=5, epochs=1, seed=3)
     rows = ablation_run(ds, modes=("sce", "sce+sd"), config=cfg)
     assert [r.mode for r in rows] == ["sce", "sce+sd"]
-    assert rows[0].ods_c == rows[1].ods_c
-    assert rows[0].ods_l == rows[1].ods_l
-    assert rows[0].ods_t == rows[1].ods_t
+    # each row scores the network that training in that mode alone gives
+    _, alone = train(ds, config=TrainConfig(batch_size=5, epochs=1, seed=3, loss_mode="sce+sd"))
+    scores = alone.scores
+    assert (rows[1].ods_c, rows[1].ods_l, rows[1].ods_t) == (
+        scores.correctness.scores.ods, scores.localness.scores.ods, scores.thickness.scores.ods)
     again = ablation_run(ds, modes=("sce", "sce+sd"), config=cfg)
     assert rows == again
     csv = ablation_csv(rows)

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from crispedge.data import gen_synthetic
 from crispedge.errors import ContractError, DomainError
 from crispedge.evalbench import as_probability_map, tolerance_pixels
-from crispedge.losses import AdaptiveLossState, ConsensusWeightMap, LossConfig, combined_loss
+from crispedge.losses import AdaptiveLossState, ConsensusWeightMap, LossConfig
 from crispedge.network import ScaleSet
-from crispedge.tensorcore import OptimizerConfig, Tensor
+from crispedge.tensorcore import OptimizerConfig
 from crispedge.trainer import TrainConfig
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -47,12 +47,6 @@ def probability_map_with(value):
     return as_probability_map(arr)
 
 
-def combined_loss_with(kappa, tau):
-    w = np.zeros((4, 4))
-    w[1, :] = 1.0
-    return combined_loss(Tensor(np.full((4, 4), 0.5)), ConsensusWeightMap.from_array(w), kappa, tau)
-
-
 # name: (build from one bad value, strategy of bad values, documented error)
 CASES = {
     "opt.learning_rate": (lambda v: OptimizerConfig(learning_rate=v), at_most(0.0), ContractError),
@@ -64,8 +58,6 @@ CASES = {
     "loss.zeta": (lambda v: LossConfig(zeta=v), at_most(0.0), ContractError),
     "loss.clamp": (lambda v: LossConfig(clamp=v), at_most(0.0) | at_least(0.5),
                    ContractError),
-    "train.manual_kappa": (lambda v: TrainConfig(manual_kappa=v), below(0.0), ContractError),
-    "train.manual_tau": (lambda v: TrainConfig(manual_tau=v), below(0.0), ContractError),
     "train.holdout_fraction": (lambda v: TrainConfig(holdout_fraction=v),
                                below(0.0) | at_least(1.0), ContractError),
     "train.eval_fraction": (lambda v: TrainConfig(eval_fraction=v), at_most(0.0), ContractError),
@@ -76,8 +68,6 @@ CASES = {
     "infer.scales": (lambda v: ScaleSet((1.0, v)), at_most(0.0) | above(4.0), ContractError),
     "probability": (probability_map_with, below(0.0) | above(1.0), DomainError),
     "eval.max_dist_fraction": (lambda v: tolerance_pixels(32, 48, v), at_most(0.0), ContractError),
-    "combined.kappa": (lambda v: combined_loss_with(v, 1.0), below(0.0), ContractError),
-    "combined.tau": (lambda v: combined_loss_with(1.0, v), below(0.0), ContractError),
 }
 
 
