@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 usage, 3 configuration, 4 data, 5 numeric.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -62,56 +63,58 @@ from .trainer import (
     train,
 )
 
+
+def _fields(prefix, config, skip=()):
+    return {f"{prefix}.{f.name}": getattr(config, f.name)
+            for f in dataclasses.fields(config) if f.name not in skip}
+
+
+# every setting with its default; the default's type is the kind its text parses to
 DEFAULTS = {
-    "gen.count": "200",
-    "gen.height": "64",
-    "gen.width": "64",
-    "gen.annotators": "3",
-    "gen.jitter_px": "1.0",
-    "train.batch_size": "10",
-    "train.epochs": "40",
-    "train.loss_mode": "awl",
-    "train.lr_decay_epochs": "30",
-    "train.holdout_fraction": "0.2",
-    "train.eval_fraction": "0.05",
-    "opt.learning_rate": "0.01",
-    "opt.momentum": "0.9",
-    "opt.weight_decay": "0.0001",
-    "opt.lr_decay": "0.1",
-    "loss.epsilon": "1e-6",
-    "loss.zeta": "0.1",
-    "loss.clamp": "1e-6",
-    "eval.max_dist_fraction": "0.0075",
-    "eval.n_thresholds": "33",
-    "infer.scales": "",
+    "gen.count": 200,
+    "gen.height": 64,
+    "gen.width": 64,
+    "gen.annotators": 3,
+    "gen.jitter_px": 1.0,
+    **_fields("train", TrainConfig(), skip=("seed", "optimizer", "loss_config")),
+    **_fields("opt", TrainConfig().optimizer),
+    **_fields("loss", TrainConfig().loss_config),
+    "eval.max_dist_fraction": 0.0075,
+    "eval.n_thresholds": 33,
+    "infer.scales": (),
 }
 
+# a list setting is comma-separated text; this is the kind of each element
+_ELEMENT_KIND = {"train.lr_decay_epochs": int, "infer.scales": float}
 
 # what a config value of each kind must look like, alone and in a list
 _WANTS = {int: ("an integer", "integers"), float: ("a number", "numbers")}
 
 
-class CliConfig:
-    """Defaults overlaid by a `key = value` file, overlaid by flags."""
+def _parse(key, text):
+    if key in _ELEMENT_KIND:
+        kind, raw = _ELEMENT_KIND[key], text.strip()
+        try:
+            return tuple(kind(p) for p in raw.split(",")) if raw else ()
+        except ValueError as exc:
+            raise ConfigError(f"config key '{key}' wants comma-separated {_WANTS[kind][1]}, "
+                              f"got '{raw}'") from exc
+    kind = type(DEFAULTS[key])
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise ConfigError(f"config key '{key}' wants {_WANTS[kind][0]}, got '{text}'") from exc
 
-    def __init__(self, values):
-        self.values = values
 
-    @classmethod
-    def load(cls, config_path, overrides):
-        values = dict(DEFAULTS)
-        if config_path is not None:
-            values.update(cls._parse_file(config_path))
-        values.update((key, str(val)) for key, val in overrides.items())
-        return cls(values)
-
-    @staticmethod
-    def _parse_file(path):
+def _load_config(path, overrides):
+    """Defaults overlaid by a `key = value` file, overlaid by flags, each
+    value parsed to its key's kind as it is read."""
+    cfg = dict(DEFAULTS)
+    if path is not None:
         try:
             lines = read_ascii_lines(path)
         except (OSError, ParseError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        out = {}
         for lineno, line in enumerate(lines, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -122,28 +125,10 @@ class CliConfig:
             key = key.strip()
             if key not in DEFAULTS:
                 raise ConfigError(f"{path}:{lineno}: unknown config key '{key}'")
-            out[key] = val.strip()
-        return out
-
-    def show(self):
-        return "\n".join(f"{k} = {self.values[k]}" for k in sorted(self.values))
-
-    def get(self, key, kind=str):
-        try:
-            return kind(self.values[key])
-        except ValueError as exc:
-            raise ConfigError(f"config key '{key}' wants {_WANTS[kind][0]}, "
-                              f"got '{self.values[key]}'") from exc
-
-    def get_list(self, key, kind):
-        raw = self.values[key].strip()
-        if not raw:
-            return ()
-        try:
-            return tuple(kind(p) for p in raw.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"config key '{key}' wants comma-separated {_WANTS[kind][1]}, "
-                              f"got '{raw}'") from exc
+            cfg[key] = _parse(key, val.strip())
+    # a scalar flag arrives typed by argparse, a list flag as its text
+    cfg.update((key, _parse(key, str(val))) for key, val in overrides.items())
+    return cfg
 
 
 def _flat_params(net):
@@ -165,29 +150,13 @@ def _load_params_into(net, path):
         pos += p.data.size
 
 
+def _section(cfg, prefix):
+    return {key[len(prefix) + 1:]: val for key, val in cfg.items() if key.startswith(prefix + ".")}
+
+
 def _train_config(cfg, seed):
-    opt = OptimizerConfig(
-        learning_rate=cfg.get("opt.learning_rate", float),
-        momentum=cfg.get("opt.momentum", float),
-        weight_decay=cfg.get("opt.weight_decay", float),
-        lr_decay=cfg.get("opt.lr_decay", float),
-    )
-    loss_cfg = LossConfig(
-        epsilon=cfg.get("loss.epsilon", float),
-        zeta=cfg.get("loss.zeta", float),
-        clamp=cfg.get("loss.clamp", float),
-    )
-    return TrainConfig(
-        batch_size=cfg.get("train.batch_size", int),
-        epochs=cfg.get("train.epochs", int),
-        loss_mode=cfg.get("train.loss_mode"),
-        optimizer=opt,
-        lr_decay_epochs=cfg.get_list("train.lr_decay_epochs", int),
-        seed=seed,
-        holdout_fraction=cfg.get("train.holdout_fraction", float),
-        eval_fraction=cfg.get("train.eval_fraction", float),
-        loss_config=loss_cfg,
-    )
+    return TrainConfig(seed=seed, optimizer=OptimizerConfig(**_section(cfg, "opt")),
+                       loss_config=LossConfig(**_section(cfg, "loss")), **_section(cfg, "train"))
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +165,12 @@ def _train_config(cfg, seed):
 
 def _cmd_gen(cfg, args):
     # the split column is train's holdout, so TrainConfig checks its fraction
-    holdout = TrainConfig(holdout_fraction=cfg.get("train.holdout_fraction", float))
+    holdout = TrainConfig(holdout_fraction=cfg["train.holdout_fraction"])
     samples = gen_synthetic(
-        cfg.get("gen.count", int),
-        (cfg.get("gen.height", int), cfg.get("gen.width", int)),
-        cfg.get("gen.annotators", int),
-        cfg.get("gen.jitter_px", float),
+        cfg["gen.count"],
+        (cfg["gen.height"], cfg["gen.width"]),
+        cfg["gen.annotators"],
+        cfg["gen.jitter_px"],
         seed=args.seed,
     )
     held = holdout_split([s.id for s in samples], holdout.holdout_fraction)
@@ -233,7 +202,7 @@ def _cmd_infer(cfg, args):
     net = build_refine_net(default_topology(), seed=0)
     _load_params_into(net, args.params)
     image = read_raster(args.image)
-    scales = cfg.get_list("infer.scales", float)
+    scales = cfg["infer.scales"]
     if scales:
         pred = predict_multiscale(net, image, ScaleSet(scales))
     else:
@@ -260,9 +229,9 @@ def _cmd_eval(cfg, args):
         preds.append(_read_prediction(entry.image_path))
         maps = [read_annotation(p) for p in entry.ann_paths]
         anns.append(AnnotationSet(maps))
-    fraction = cfg.get("eval.max_dist_fraction", float)
+    fraction = cfg["eval.max_dist_fraction"]
     report = eval_criteria(preds, anns, fraction,
-                           n_thresholds=cfg.get("eval.n_thresholds", int))
+                           n_thresholds=cfg["eval.n_thresholds"])
     os.makedirs(args.out_dir, exist_ok=True)
     block = score_block(report)
     with open(os.path.join(args.out_dir, "scores.txt"), "w", encoding="ascii") as fh:
@@ -321,25 +290,28 @@ def build_parser():
                         help="print the effective configuration and exit")
 
     def setting(sp, flag, key, **kw):
-        # the parsed value lands under its config key; run() reads it from there
-        sp.add_argument(flag, dest=key, metavar=flag[2:].upper().replace("-", "_"), **kw)
+        # the value lands under its config key, typed like its default unless
+        # it is a list; run() reads it from there
+        kind = None if key in _ELEMENT_KIND else type(DEFAULTS[key])
+        sp.add_argument(flag, dest=key, metavar=flag[2:].upper().replace("-", "_"),
+                        type=kind, **kw)
 
     sp = subs.add_parser("gen", help="generate a synthetic dataset")
     common(sp)
-    setting(sp, "--count", "gen.count", type=int)
-    setting(sp, "--height", "gen.height", type=int)
-    setting(sp, "--width", "gen.width", type=int)
-    setting(sp, "--annotators", "gen.annotators", type=int)
-    setting(sp, "--jitter", "gen.jitter_px", type=float)
+    setting(sp, "--count", "gen.count")
+    setting(sp, "--height", "gen.height")
+    setting(sp, "--width", "gen.width")
+    setting(sp, "--annotators", "gen.annotators")
+    setting(sp, "--jitter", "gen.jitter_px")
     sp.add_argument("--out-dir", default="dataset")
 
     sp = subs.add_parser("train", help="train the refinement network")
     common(sp)
     sp.add_argument("--manifest", required=True)
-    setting(sp, "--epochs", "train.epochs", type=int)
-    setting(sp, "--batch-size", "train.batch_size", type=int)
+    setting(sp, "--epochs", "train.epochs")
+    setting(sp, "--batch-size", "train.batch_size")
     setting(sp, "--loss-mode", "train.loss_mode")
-    setting(sp, "--learning-rate", "opt.learning_rate", type=float)
+    setting(sp, "--learning-rate", "opt.learning_rate")
     sp.add_argument("--out-dir", default="train-out")
 
     sp = subs.add_parser("infer", help="run the network on one image")
@@ -353,8 +325,8 @@ def build_parser():
     sp = subs.add_parser("eval", help="benchmark predictions against annotations")
     common(sp)
     sp.add_argument("--manifest", required=True)
-    setting(sp, "--max-dist-fraction", "eval.max_dist_fraction", type=float)
-    setting(sp, "--n-thresholds", "eval.n_thresholds", type=int)
+    setting(sp, "--max-dist-fraction", "eval.max_dist_fraction")
+    setting(sp, "--n-thresholds", "eval.n_thresholds")
     sp.add_argument("--out-dir", default="eval-out")
 
     sp = subs.add_parser("gradcheck", help="finite-difference gradient audit")
@@ -364,7 +336,7 @@ def build_parser():
     common(sp)
     sp.add_argument("--manifest", required=True)
     sp.add_argument("--modes", help="comma-separated loss modes")
-    setting(sp, "--epochs", "train.epochs", type=int)
+    setting(sp, "--epochs", "train.epochs")
     sp.add_argument("--out-dir", default="ablate-out")
 
     return parser
@@ -396,9 +368,11 @@ def run(argv):
             raise ConfigError(f"seed must be >= 0, got {args.seed}")
         overrides = {key: val for key, val in vars(args).items()
                      if key in DEFAULTS and val is not None}
-        cfg = CliConfig.load(args.config, overrides)
+        cfg = _load_config(args.config, overrides)
         if args.show_config:
-            print(cfg.show())
+            for key in sorted(cfg):
+                val = cfg[key]
+                print(f"{key} = {','.join(map(str, val)) if isinstance(val, tuple) else val}")
             return 0
         return _COMMANDS[sub](cfg, args)
     except _CONFIG_ERRORS as exc:
@@ -414,3 +388,7 @@ def run(argv):
 
 def main():
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

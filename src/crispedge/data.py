@@ -383,11 +383,15 @@ def write_raster(tensor, path):
 
 
 def read_raster(path):
+    """One image as a (1, channels, height, width) tensor."""
     if path.endswith(".pgm"):
         return Tensor(read_image(path))
-    if path.endswith(".crb"):
-        return Tensor(read_crb(path))
-    raise ValidationError(f"unsupported raster extension on '{path}' (want .pgm or .crb)")
+    if not path.endswith(".crb"):
+        raise ValidationError(f"unsupported raster extension on '{path}' (want .pgm or .crb)")
+    tensor = Tensor(read_crb(path))
+    if tensor.shape[0] != 1:
+        raise ValidationError(f"{path}: a raster holds one image, got a batch of {tensor.shape[0]}")
+    return tensor
 
 
 # ---------------------------------------------------------------------------

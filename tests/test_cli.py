@@ -242,8 +242,50 @@ def test_unknown_config_key_exits_3(tmp_path, capsys):
 
 
 def test_cli_defaults_give_the_default_train_config():
-    # DEFAULTS repeats the train.*, opt.* and loss.* defaults as strings
-    assert cli._train_config(cli.CliConfig.load(None, {}), 0) == TrainConfig()
+    assert cli._train_config(cli._load_config(None, {}), 0) == TrainConfig()
+
+
+# a valid non-default value of each training key: its text and its parsed value;
+# a key missing here fails the test below
+TRAINING_KEY_VALUES = {
+    "train.batch_size": ("4", 4),
+    "train.epochs": ("3", 3),
+    "train.loss_mode": ("sce+sd", "sce+sd"),
+    "train.lr_decay_epochs": ("5, 10", (5, 10)),
+    "train.holdout_fraction": ("0.25", 0.25),
+    "train.eval_fraction": ("0.1", 0.1),
+    "opt.learning_rate": ("0.02", 0.02),
+    "opt.momentum": ("0.5", 0.5),
+    "opt.weight_decay": ("0", 0.0),
+    "opt.lr_decay": ("0.5", 0.5),
+    "loss.epsilon": ("1e-8", 1e-8),
+    "loss.zeta": ("0.2", 0.2),
+    "loss.clamp": ("0.001", 0.001),
+}
+
+
+@pytest.mark.parametrize("key", [key for key in cli.DEFAULTS
+                                 if key.split(".")[0] in ("train", "opt", "loss")])
+def test_every_training_key_reaches_train_config(tmp_path, key):
+    text, want = TRAINING_KEY_VALUES[key]
+    (tmp_path / "c.cfg").write_text(f"{key} = {text}\n")
+    config = cli._train_config(cli._load_config(str(tmp_path / "c.cfg"), {}), 0)
+    section, name = key.split(".")
+    holder = {"train": config, "opt": config.optimizer, "loss": config.loss_config}[section]
+    assert getattr(holder, name) == want != cli.DEFAULTS[key]
+
+
+@pytest.mark.parametrize("lines", ["", "infer.scales = 0.5,1,2\ntrain.lr_decay_epochs = 5,10\n"],
+                         ids=["defaults", "lists"])
+def test_show_config_reads_back_as_the_same_config(tmp_path, capsys, lines):
+    first, shown = tmp_path / "first.cfg", tmp_path / "shown.cfg"
+    first.write_text(lines)
+    code, out, err = invoke(capsys, "gen", "--config", str(first), "--show-config")
+    assert code == 0, err
+    assert "loss.epsilon = 1e-06\n" in out
+    shown.write_text(out)
+    assert cli._load_config(str(shown), {}) == cli._load_config(str(first), {})
+    assert invoke(capsys, "gen", "--config", str(shown), "--show-config")[1] == out
 
 
 def test_bad_config_value_exits_3(tmp_path, capsys):
@@ -254,22 +296,27 @@ def test_bad_config_value_exits_3(tmp_path, capsys):
     assert err.startswith("crispedge: gen:")
 
 
+# every value in the file is parsed, also one that the command does not read
 BAD_CONFIG_VALUES = [
-    ("gen.count = x", "gen --out-dir {dir}/g",
+    ("gen.count", "gen.count = x", "gen --out-dir {dir}/g",
      "config key 'gen.count' wants an integer, got 'x'"),
-    ("opt.momentum = x", "train --manifest {dir}/ds/manifest.tsv --out-dir {dir}/t",
+    ("opt.momentum", "opt.momentum = x", "train --manifest {dir}/ds/manifest.tsv --out-dir {dir}/t",
      "config key 'opt.momentum' wants a number, got 'x'"),
-    ("train.lr_decay_epochs = 1,x", "train --manifest {dir}/ds/manifest.tsv --out-dir {dir}/t",
+    ("gen-opt.momentum", "opt.momentum = x", "gen --out-dir {dir}/g",
+     "config key 'opt.momentum' wants a number, got 'x'"),
+    ("train.lr_decay_epochs", "train.lr_decay_epochs = 1,x",
+     "train --manifest {dir}/ds/manifest.tsv --out-dir {dir}/t",
      "config key 'train.lr_decay_epochs' wants comma-separated integers, got '1,x'"),
-    ("infer.scales = 1,x", "infer --params {dir}/params.crb --image {dir}/image.pgm",
+    ("infer.scales", "infer.scales = 1,x", "infer --params {dir}/params.crb --image {dir}/image.pgm",
      "config key 'infer.scales' wants comma-separated numbers, got '1,x'"),
-    ("train.manual_kappa = 1", "train --manifest {dir}/ds/manifest.tsv --out-dir {dir}/t",
+    ("train.manual_kappa", "train.manual_kappa = 1",
+     "train --manifest {dir}/ds/manifest.tsv --out-dir {dir}/t",
      "{dir}/c.cfg:1: unknown config key 'train.manual_kappa'"),
 ]
 
 
-@pytest.mark.parametrize("line,argv,message", BAD_CONFIG_VALUES,
-                         ids=[case[0].split()[0] for case in BAD_CONFIG_VALUES])
+@pytest.mark.parametrize("line,argv,message", [case[1:] for case in BAD_CONFIG_VALUES],
+                         ids=[case[0] for case in BAD_CONFIG_VALUES])
 def test_bad_config_value_message(tmp_path, capsys, line, argv, message):
     exit_case_inputs(tmp_path)
     (tmp_path / "c.cfg").write_text(line + "\n")
@@ -337,8 +384,8 @@ def exit_case_inputs(tmp_path):
     and a config file that hold a non-ASCII byte, a config file whose
     holdout fraction is out of range, an empty manifest, and a
     CRB whose header dims overflow int64 with no payload, an image of
-    1e39, finite in float64 but past float32's range, and a three-channel
-    image."""
+    1e39, finite in float64 but past float32's range, a three-channel
+    image and a two-image batch."""
     rng = np.random.default_rng(4)
     ann = np.zeros((16, 16))
     ann[8, 2:14] = 1.0
@@ -364,6 +411,7 @@ def exit_case_inputs(tmp_path):
     write_crb(str(tmp_path / "nan-image.crb"), image[None, None])
     write_crb(str(tmp_path / "huge-image.crb"), np.full((1, 1, 16, 16), 1e39))
     write_crb(str(tmp_path / "rgb-image.crb"), np.full((3, 16, 16), 0.5))
+    write_crb(str(tmp_path / "two-image.crb"), np.full((2, 1, 16, 16), 0.5))
     (tmp_path / "latin.tsv").write_bytes(b"x\tpr\xe9d.crb\tann.pgm\ttest\n")
     (tmp_path / "latin.cfg").write_bytes(b"# caf\xe9\ngen.count = 2\n")
     (tmp_path / "holdout.cfg").write_text("train.holdout_fraction = 1.5\n")
@@ -409,6 +457,8 @@ EXIT_CASES = [
      "infer --params {dir}/params.crb --image {dir}/huge-image.crb --out {dir}/p.crb", 5),
     ("infer-three-channel-image",
      "infer --params {dir}/params.crb --image {dir}/rgb-image.crb --out {dir}/p.crb", 4),
+    ("infer-two-image-batch",
+     "infer --params {dir}/params.crb --image {dir}/two-image.crb --out {dir}/p.crb", 4),
     ("gen-negative-seed", "gen --count 1 --height 24 --width 24 --seed -1 --out-dir {dir}/g", 3),
     ("gradcheck-negative-seed", "gradcheck --seed -1", 3),
     ("eval-empty-manifest", "eval --manifest {dir}/empty.tsv --out-dir {dir}/e", 4),

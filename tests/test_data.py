@@ -257,6 +257,10 @@ def test_raster_dispatch(tmp_path):
         write_raster(t, str(tmp_path / "r.png"))
     with pytest.raises(ValidationError):
         read_raster(str(tmp_path / "r.png"))
+    batch = str(tmp_path / "batch.crb")
+    write_crb(batch, np.zeros((2, 1, 6, 6)))
+    with pytest.raises(ValidationError, match=f"{batch}: .* batch of 2"):
+        read_raster(batch)
 
 
 # ---------------------------------------------------------------------------
