@@ -89,14 +89,14 @@ def _polygon_outline(vertices):
     return np.concatenate(pts_parts), np.concatenate(nrm_parts)
 
 
-def _disk_fill(size, center, radius):
-    yy, xx = np.mgrid[:size[0], :size[1]]
+def _disk_fill(window, center, radius):
+    yy, xx = np.mgrid[window]
     return np.hypot(yy - center[0], xx - center[1]) <= radius
 
 
-def _polygon_fill(size, vertices):
+def _polygon_fill(window, vertices):
     # even winding via half-plane signs; vertices are convex and CCW-or-CW
-    yy, xx = np.mgrid[:size[0], :size[1]]
+    yy, xx = np.mgrid[window]
     verts = np.asarray(vertices, dtype=float)
     k = len(verts)
     signs = []
@@ -119,6 +119,9 @@ def _rasterize(points, size):
 
 
 def _sample_shape(rng, size, margin):
+    """Draw one shape as (kind, geometry, box): a disk's (centre, radius) or a
+    polygon's vertices, and the bounding box. Nothing is built until the box
+    is accepted."""
     h, w = size
     lim = min(h, w)
     kind = ["disk", "rect", "triangle"][int(rng.integers(0, 3))]
@@ -126,33 +129,39 @@ def _sample_shape(rng, size, margin):
         r = float(rng.uniform(5.0, max(lim / 4.0, 5.5)))
         cy = float(rng.uniform(margin + r, h - 1 - margin - r))
         cx = float(rng.uniform(margin + r, w - 1 - margin - r))
-        pts, normals = _disk_outline((cy, cx), r)
-        fill = _disk_fill(size, (cy, cx), r)
-        box = (cy - r, cy + r, cx - r, cx + r)
-    elif kind == "rect":
+        return "disk", ((cy, cx), r), (cy - r, cy + r, cx - r, cx + r)
+    if kind == "rect":
         ry = float(rng.uniform(4.0, max(lim / 4.0, 4.5)))
         rx = float(rng.uniform(4.0, max(lim / 4.0, 4.5)))
         cy = float(rng.uniform(margin + ry, h - 1 - margin - ry))
         cx = float(rng.uniform(margin + rx, w - 1 - margin - rx))
         verts = [(cy - ry, cx - rx), (cy - ry, cx + rx), (cy + ry, cx + rx), (cy + ry, cx - rx)]
-        pts, normals = _polygon_outline(verts)
-        fill = _polygon_fill(size, verts)
-        box = (cy - ry, cy + ry, cx - rx, cx + rx)
-    else:
-        r = float(rng.uniform(6.0, max(lim / 4.0, 6.5)))
-        cy = float(rng.uniform(margin + r, h - 1 - margin - r))
-        cx = float(rng.uniform(margin + r, w - 1 - margin - r))
-        while True:
-            ang = np.sort(rng.uniform(0, 2 * np.pi, size=3))
-            verts = [(cy + r * np.sin(a), cx + r * np.cos(a)) for a in ang]
-            area = abs((verts[1][0] - verts[0][0]) * (verts[2][1] - verts[0][1])
-                       - (verts[2][0] - verts[0][0]) * (verts[1][1] - verts[0][1])) / 2
-            if area >= 0.35 * r * r:
-                break
-        pts, normals = _polygon_outline(verts)
-        fill = _polygon_fill(size, verts)
-        box = (cy - r, cy + r, cx - r, cx + r)
-    return pts, normals, fill, box
+        return "polygon", verts, (cy - ry, cy + ry, cx - rx, cx + rx)
+    r = float(rng.uniform(6.0, max(lim / 4.0, 6.5)))
+    cy = float(rng.uniform(margin + r, h - 1 - margin - r))
+    cx = float(rng.uniform(margin + r, w - 1 - margin - r))
+    while True:
+        ang = np.sort(rng.uniform(0, 2 * np.pi, size=3))
+        verts = [(cy + r * np.sin(a), cx + r * np.cos(a)) for a in ang]
+        area = abs((verts[1][0] - verts[0][0]) * (verts[2][1] - verts[0][1])
+                   - (verts[2][0] - verts[0][0]) * (verts[1][1] - verts[0][1])) / 2
+        if area >= 0.35 * r * r:
+            return "polygon", verts, (cy - r, cy + r, cx - r, cx + r)
+
+
+def _build_shape(kind, geometry, box, size):
+    """Outline points, their normals, the box's pixel window and the fill
+    over that window, for a shape from ``_sample_shape``. The window holds
+    every pixel inside the box, so the fill misses none of the shape."""
+    y0, y1, x0, x1 = box
+    window = (slice(max(math.floor(y0), 0), min(math.ceil(y1) + 1, size[0])),
+              slice(max(math.floor(x0), 0), min(math.ceil(x1) + 1, size[1])))
+    if kind == "disk":
+        center, radius = geometry
+        pts, normals = _disk_outline(center, radius)
+        return pts, normals, window, _disk_fill(window, center, radius)
+    pts, normals = _polygon_outline(geometry)
+    return pts, normals, window, _polygon_fill(window, geometry)
 
 
 def _boxes_clash(box, others, gap):
@@ -208,21 +217,21 @@ def gen_synthetic(count, size, annotators, jitter_px, seed):
         shapes, boxes = [], []
         for _ in range(n_shapes):
             for _attempt in range(40):
-                pts, normals, fill, box = _sample_shape(rng, (h, w), margin)
+                kind, geometry, box = _sample_shape(rng, (h, w), margin)
                 if not _boxes_clash(box, boxes, gap=3.0):
-                    shapes.append((pts, normals, fill))
+                    shapes.append(_build_shape(kind, geometry, box, (h, w)))
                     boxes.append(box)
                     break
 
         true_canvas = np.zeros((h, w), dtype=bool)
-        for pts, _, _ in shapes:
+        for pts, *_ in shapes:
             true_canvas |= _rasterize(pts, (h, w))
         true_map = thin_binary(true_canvas)
 
         ann_maps = []
         for _a in range(annotators):
             canvas = np.zeros((h, w), dtype=bool)
-            for pts, normals, _ in shapes:
+            for pts, normals, *_ in shapes:
                 d = _smooth_displacement(rng, len(pts), jitter_px)
                 canvas |= _rasterize(pts + d[:, None] * normals, (h, w))
             ann_maps.append(thin_binary(canvas).astype(float))
@@ -230,12 +239,12 @@ def gen_synthetic(count, size, annotators, jitter_px, seed):
         background = gaussian_filter(rng.random((h, w)), sigma=max(h, w) / 10.0)
         lo, hi = background.min(), background.max()
         img = 0.35 + 0.25 * (background - lo) / max(hi - lo, 1e-12)
-        for _, _, fill in shapes:
+        for *_, window, fill in shapes:
             if rng.random() < 0.5:
                 tone = float(rng.uniform(0.02, 0.20))
             else:
                 tone = float(rng.uniform(0.78, 0.98))
-            img[fill] = tone
+            img[window][fill] = tone
         img = gaussian_filter(img, sigma=0.6)
         img = np.clip(img + rng.normal(0.0, 0.02, (h, w)), 0.0, 1.0)
 

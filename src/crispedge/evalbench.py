@@ -69,44 +69,63 @@ def tolerance_pixels(h: int, w: int, max_dist_fraction: float) -> float:
 # post-processing
 
 
+def _deletable_table(step: int) -> np.ndarray:
+    """Whether a pixel is deletable in subiteration ``step``, for each of the
+    256 codes of its ring p2..p9 (p2 the bit of weight 1)."""
+    table = np.zeros(256, dtype=bool)
+    for code in range(256):
+        ring = [(code >> k) & 1 for k in range(8)]
+        p2, _, p4, _, p6, _, p8, _ = ring
+        b = sum(ring)
+        a = sum(1 for q, r in zip(ring, ring[1:] + ring[:1]) if (q, r) == (0, 1))
+        if step == 0:
+            extra = p2 * p4 * p6 == 0 and p4 * p6 * p8 == 0
+        else:
+            extra = p2 * p4 * p8 == 0 and p2 * p6 * p8 == 0
+        table[code] = 2 <= b <= 6 and a == 1 and extra
+    return table
+
+
+_DELETABLE = (_deletable_table(0), _deletable_table(1))
+
+
 def thin_binary(mask: np.ndarray) -> np.ndarray:
     """Two-subiteration morphological thinning to unit width.
 
     Classic pattern-table scheme: a pixel is deletable when it has 2..6 set
-    neighbors, exactly one 0->1 transition around its ring, and the
-    subiteration's two 3-neighbor products vanish; flagged pixels of each
-    subiteration are removed simultaneously, so the result is deterministic.
+    neighbors, exactly one 0->1 transition around its ring p2..p9 (north,
+    then clockwise), and the subiteration's two 3-neighbor products vanish
+    (p2*p4*p6 and p4*p6*p8 in the first, p2*p4*p8 and p2*p6*p8 in the
+    second); pixels outside the mask count as 0. Flagged pixels of each
+    subiteration are removed simultaneously, so the result is deterministic,
+    and the two subiterations repeat until neither removes a pixel.
+
+    The rule depends only on the ring, so it is a 256-entry table per
+    subiteration. Each subiteration reads the ring code of the current
+    foreground pixels only, as flat indices into a zero-bordered copy, looks
+    it up, and drops the deleted pixels from the foreground list.
     """
-    img = as_boundary_map(mask).astype(np.uint8)
-    while True:
+    img = as_boundary_map(mask)
+    h, w = img.shape
+    padded = np.zeros((h + 2, w + 2), dtype=np.uint8)
+    padded[1:-1, 1:-1] = img
+    flat = padded.ravel()
+    row = w + 2
+    ring = (-row, -row + 1, 1, row + 1, row, row - 1, -1, -row - 1)   # p2..p9
+    fg = np.flatnonzero(flat)
+    changed = True
+    while changed:
         changed = False
-        for step in (0, 1):
-            p = np.pad(img, 1)
-            p2 = p[:-2, 1:-1]
-            p3 = p[:-2, 2:]
-            p4 = p[1:-1, 2:]
-            p5 = p[2:, 2:]
-            p6 = p[2:, 1:-1]
-            p7 = p[2:, :-2]
-            p8 = p[1:-1, :-2]
-            p9 = p[:-2, :-2]
-            ring = (p2, p3, p4, p5, p6, p7, p8, p9)
-            b = np.zeros(img.shape, dtype=np.int32)
-            for q in ring:
-                b += q
-            a = np.zeros(img.shape, dtype=np.int32)
-            for q, r in zip(ring, ring[1:] + (p2,)):
-                a += ((q == 0) & (r == 1))
-            if step == 0:
-                extra = (p2 * p4 * p6 == 0) & (p4 * p6 * p8 == 0)
-            else:
-                extra = (p2 * p4 * p8 == 0) & (p2 * p6 * p8 == 0)
-            kill = (img == 1) & (b >= 2) & (b <= 6) & (a == 1) & extra
+        for table in _DELETABLE:
+            code = np.zeros(fg.size, dtype=np.uint8)
+            for bit, offset in enumerate(ring):
+                code |= flat[fg + offset] << bit
+            kill = table[code]
             if kill.any():
-                img[kill] = 0
+                flat[fg[kill]] = 0
+                fg = fg[~kill]
                 changed = True
-        if not changed:
-            return img.astype(bool)
+    return padded[1:-1, 1:-1].astype(bool)
 
 
 _DIR_OFFSETS = ((0, 1), (1, 1), (1, 0), (1, -1))  # E-W, SE-NW, S-N, SW-NE axes

@@ -162,6 +162,48 @@ def sgd_scalar(p0, grads, lr, momentum, wd):
     return out
 
 
+def thin_loops(mask):
+    """Two-subiteration thinning by pixel loops. Around each set pixel the
+    ring p2..p9 runs north, north-east, east and on clockwise, with pixels
+    outside the mask read as 0. A pixel is deleted when 2 <= B <= 6 set ring
+    pixels, A == 1 0->1 transitions around the ring (p9 back to p2
+    included), and the subiteration's two products vanish: p2*p4*p6 and
+    p4*p6*p8 in the first, p2*p4*p8 and p2*p6*p8 in the second. Each
+    subiteration flags every pixel first and deletes them together; the two
+    repeat until neither deletes anything."""
+    arr = np.asarray(mask, dtype=bool)
+    h, w = arr.shape
+    img = arr.tolist()
+
+    def at(y, x):
+        return 1 if 0 <= y < h and 0 <= x < w and img[y][x] else 0
+
+    changed = True
+    while changed:
+        changed = False
+        for step in (0, 1):
+            flagged = []
+            for y in range(h):
+                for x in range(w):
+                    if not img[y][x]:
+                        continue
+                    p2, p3, p4, p5 = at(y - 1, x), at(y - 1, x + 1), at(y, x + 1), at(y + 1, x + 1)
+                    p6, p7, p8, p9 = at(y + 1, x), at(y + 1, x - 1), at(y, x - 1), at(y - 1, x - 1)
+                    ring = [p2, p3, p4, p5, p6, p7, p8, p9, p2]
+                    b = sum(ring[:8])
+                    a = sum(1 for k in range(8) if ring[k] == 0 and ring[k + 1] == 1)
+                    if step == 0:
+                        products = p2 * p4 * p6 + p4 * p6 * p8
+                    else:
+                        products = p2 * p4 * p8 + p2 * p6 * p8
+                    if 2 <= b <= 6 and a == 1 and products == 0:
+                        flagged.append((y, x))
+            for y, x in flagged:
+                img[y][x] = False
+            changed = changed or bool(flagged)
+    return np.array(img, dtype=bool).reshape(h, w)
+
+
 def _disk_edges(left_pts, right_pts, tol):
     """Per left point, the indices of the right points within Euclidean
     distance ``tol``, ascending."""

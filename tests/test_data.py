@@ -1,3 +1,4 @@
+import hashlib
 import os
 import struct
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+import crispedge.data as data_module
 from crispedge.data import (
     DatasetManifest,
     ManifestEntry,
@@ -48,6 +50,32 @@ def test_gen_deterministic():
         assert np.array_equal(s.true_boundary, t.true_boundary)
     c = gen_synthetic(3, (48, 48), 2, 1.5, seed=4)
     assert not all(np.array_equal(s.image.data, t.image.data) for s, t in zip(a, c))
+
+
+def test_gen_bytes_are_pinned():
+    # the benchmark's workloads are made by these calls (the last a crowded
+    # 24x24 one), so a changed byte would change what they measure
+    digest = hashlib.sha256()
+    for args in ((30, (64, 64), 3, 1.0, 1), (72, (64, 64), 3, 1.0, 1),
+                 (2, (321, 481), 3, 1.0, 0), (10, (24, 24), 3, 1.0, 4)):
+        for s in gen_synthetic(*args):
+            digest.update(s.image.data.tobytes())
+            digest.update(s.annotations.maps.tobytes())
+            digest.update(s.true_boundary.tobytes())
+    assert digest.hexdigest() == ("a351865092453a1a4a1d39a01d8387e1"
+                                  "b1a78a596cc4849aaa46ed6e729492a1")
+
+
+def test_gen_builds_only_placed_shapes(monkeypatch):
+    built = []
+    for name in ("_disk_fill", "_polygon_fill"):
+        fill = getattr(data_module, name)
+        monkeypatch.setattr(data_module, name,
+                            lambda *a, _fill=fill: built.append(1) or _fill(*a))
+    count = 10
+    gen_synthetic(count, (24, 24), 3, 1.0, seed=4)
+    # at most four shapes are placed per sample, however many boxes clash
+    assert 0 < len(built) <= 4 * count
 
 
 def test_gen_jitter_zero_identical_annotators_binary_weights():

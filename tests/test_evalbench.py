@@ -29,7 +29,8 @@ from crispedge.evalbench import (
 from crispedge.losses import AnnotationSet
 from crispedge.network import build_refine_net, predict
 
-from oracles import max_matching_loops, neighbor_graph, priority_counts, summarize_loops
+from oracles import (max_matching_loops, neighbor_graph, priority_counts, summarize_loops,
+                     thin_loops)
 
 
 def ring_mask(n=12):
@@ -169,6 +170,38 @@ def test_thin_blob_to_unit_width():
     two_by_two = t[:-1, :-1] & t[1:, :-1] & t[:-1, 1:] & t[1:, 1:]
     assert not two_by_two.any()
     assert t.sum() >= 1 and np.all(blob[t])
+
+
+def thin_cases():
+    rng = np.random.default_rng(22)
+    for density in np.linspace(0.05, 0.95, 10):
+        for shape in ((17, 23), (9, 31)):
+            yield rng.random(shape) < density
+    for n in (1, 2, 7):
+        yield np.ones((1, n), dtype=bool)
+        yield np.ones((n, 1), dtype=bool)
+        yield rng.random((1, 5 * n)) < 0.6
+        yield rng.random((5 * n, 1)) < 0.6
+    yield np.zeros((0, 0), dtype=bool)
+    yield np.zeros((6, 8), dtype=bool)
+    yield np.ones((12, 15), dtype=bool)
+    # blocks and bars flush against each edge and corner
+    edges = np.zeros((14, 16), dtype=bool)
+    edges[:3, 4:12] = edges[-4:, 2:9] = edges[5:11, :2] = edges[3:13, -3:] = True
+    yield edges
+    corners = np.zeros((11, 11), dtype=bool)
+    corners[:4, :4] = corners[:3, -5:] = corners[-4:, :5] = corners[-3:, -3:] = True
+    yield corners
+    framed = rng.random((16, 16)) < 0.7
+    framed[[0, -1], :] = framed[:, [0, -1]] = True
+    yield framed
+
+
+def test_thin_binary_equals_pixel_loop_oracle():
+    for mask in thin_cases():
+        got = thin_binary(mask)
+        assert got.shape == mask.shape and got.dtype == bool
+        assert np.array_equal(got, thin_loops(mask)), mask.astype(int)
 
 
 def test_nms_thin_idempotent_on_corpus():
