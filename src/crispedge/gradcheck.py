@@ -84,8 +84,11 @@ OP_CASES = (
      lambda a: tc.global_sum(tc.reciprocal(a))),
     ("clip", lambda rng: (Tensor(_away_from_kinks(rng.uniform(-1, 2, _SIZES) - 0.5) + 0.5),),
      lambda a: tc.global_sum(tc.square(tc.clip(a, 0.0, 1.0)))),
-    ("conv2d", _normal((1, 2, 6, 6), (3, 2, 3, 3)),
-     lambda x, k: tc.global_sum(tc.square(tc.conv2d(x, k, stride=1, padding=1)))),
+    # both backward paths: a stride-1 conv with fewer outputs than inputs
+    # takes its gradients from the columns of g, a stride-2 one from x's
+    ("conv2d", _normal((1, 3, 6, 6), (2, 3, 3, 3), (3, 2, 3, 3)),
+     lambda x, k1, k2: tc.global_sum(tc.square(
+         tc.conv2d(tc.conv2d(x, k1, stride=1, padding=1), k2, stride=2, padding=1)))),
     ("bilinear_resize", _normal((1, 2, 5, 5)),
      lambda x: tc.global_sum(tc.square(tc.bilinear_resize(x, 8, 7)))),
 )

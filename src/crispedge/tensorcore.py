@@ -8,6 +8,19 @@ tensor; ``backward`` replays them in reverse topological order. Inside
 no inputs or masks for a backward. A float32 tensor built while recording is a
 ``ContractError``, so every graph, and with it training and gradient checks,
 is float64. Scalars are (1, 1, 1, 1) tensors.
+
+conv2d's backward has two formulations, picked by ``_correlates_g`` from the
+conv's stride, padding and sizes alone. At stride 1, with padding below the
+kernel size and no more output than input channels, it builds the columns of
+the upstream gradient g, zero-padded by (KH-1-p, KW-1-p), once: the kernel
+gradient is their product with the input, the input gradient their product
+with the flipped, O<->C-transposed kernel. Every other conv multiplies g by
+the input's columns for the kernel gradient and scatters the kernel's taps
+of g back onto the padded input for the input gradient.
+
+An interior node's gradient may be the very array its child's closure handed
+down, so no closure writes into its ``g``; a leaf's gradient is its own
+writable array.
 """
 
 from __future__ import annotations
@@ -167,7 +180,9 @@ def backward(loss: Tensor) -> None:
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
-        t.grad = g.copy()
+        # no closure writes into g, so an interior node may hold it as is; a
+        # leaf's grad outlives the pass and gets its own writable copy
+        t.grad = g if t._grad_fn is not None else g.copy()
     else:
         t.grad = t.grad + g
 
@@ -227,7 +242,8 @@ def relu(x: Tensor) -> Tensor:
 
 def sigmoid(x: Tensor) -> Tensor:
     d = x.data
-    s = np.where(d >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    e = np.exp(-np.abs(d))
+    s = np.where(d >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
     return Tensor(s, (x,), lambda g: _accumulate(x, g * s * (1.0 - s)))
 
 
@@ -275,11 +291,15 @@ def _columns(view: np.ndarray) -> np.ndarray:
 
 
 def _im2col_view(data: np.ndarray, kh: int, kw: int, oh: int, ow: int,
-                 stride: int, padding: int) -> np.ndarray:
-    """Strided (B,C,KH,KW,OH,OW) view of ``data`` zero-padded by ``padding``
-    on each spatial side; with no padding it views ``data`` itself."""
-    if padding:
-        data = np.pad(data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+                 stride: int, ph: int, pw: int) -> np.ndarray:
+    """Strided (B,C,KH,KW,OH,OW) view of ``data`` zero-padded by ``ph`` rows
+    and ``pw`` columns on each side; with no padding it views ``data``
+    itself."""
+    if ph or pw:
+        b, c, h, w = data.shape
+        padded = np.zeros((b, c, h + 2 * ph, w + 2 * pw), data.dtype)
+        padded[:, :, ph:ph + h, pw:pw + w] = data
+        data = padded
     s = data.strides
     return np.lib.stride_tricks.as_strided(data, data.shape[:2] + (kh, kw, oh, ow),
                                            s + (s[2] * stride, s[3] * stride))
@@ -301,6 +321,14 @@ def _conv_forward(view: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return y
 
 
+def _correlates_g(stride: int, padding: int, kh: int, kw: int, o: int, c: int) -> bool:
+    """Whether a conv's backward takes both gradients from the columns of
+    its upstream gradient g: at stride 1, with padding below the kernel size
+    and no more output than input channels, those columns are no larger than
+    the input's. Every other conv takes them from the input's columns."""
+    return stride == 1 and padding < min(kh, kw) and o <= c
+
+
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation of ``x`` (B,C,H,W) with ``kernel`` (O,C,KH,KW)."""
     if stride < 1:
@@ -318,11 +346,24 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
                          f"gives non-positive output size for {h}x{w} input")
 
     def grad_fn(g: np.ndarray) -> None:
-        # the closure holds x, not a padded copy: dk re-pads x.data into
-        # columns and GEMMs g, (O, B*OH*OW), with them; the padded copy and
-        # the columns are temporaries, freed before dx builds its own product
-        # of the columns' size
-        view = _im2col_view(x.data, kh, kw, oh, ow, stride, padding)
+        # the closure holds x, not a padded copy: both formulations re-read
+        # x.data, and every padded copy and column buffer is a temporary
+        if _correlates_g(stride, padding, kh, kw, o, c):
+            # columns of g zero-padded by (KH-1-p, KW-1-p), (B, O*KH*KW, H*W),
+            # no larger than x's: dx correlates them with the flipped,
+            # O<->C-transposed kernel, and dk pairs them with x, taps flipped
+            cols = _im2col_view(g, kh, kw, h, w, 1, kh - 1 - padding, kw - 1 - padding
+                                ).reshape(b, o * kh * kw, h * w)
+            dk = (cols @ x.data.reshape(b, c, h * w).swapaxes(1, 2)).sum(axis=0)
+            _accumulate(kernel, dk.reshape(o, kh, kw, c)[:, ::-1, ::-1].transpose(0, 3, 1, 2))
+            flipped = kernel.data[:, :, ::-1, ::-1].swapaxes(0, 1).reshape(c, o * kh * kw)
+            dx = (flipped @ cols).reshape(b, c, h, w)
+            del cols
+            _accumulate(x, dx)
+            return
+        # dk: one GEMM of g, (O, B*OH*OW), with x's columns, freed before dx
+        # builds its own product of the columns' size
+        view = _im2col_view(x.data, kh, kw, oh, ow, stride, padding, padding)
         _accumulate(kernel, (g.swapaxes(0, 1).reshape(o, -1) @ _columns(view).T)
                     .reshape(o, c, kh, kw))
         del view
@@ -338,7 +379,8 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
             dxp = dxp[:, :, padding:padding + h, padding:padding + w]
         _accumulate(x, dxp)
 
-    y = _conv_forward(_im2col_view(x.data, kh, kw, oh, ow, stride, padding), kernel.data)
+    y = _conv_forward(_im2col_view(x.data, kh, kw, oh, ow, stride, padding, padding),
+                      kernel.data)
     return Tensor(y, (x, kernel), grad_fn)
 
 

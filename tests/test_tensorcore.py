@@ -147,6 +147,11 @@ def test_conv_gradients_match_fd():
 # (input shape, kernel shape, stride, padding)
 CONV_GRAD_CASES = {
     "c1-k3-s1-p1": ((1, 1, 5, 7), (4, 1, 3, 3), 1, 1),
+    "o4c4-k3-s1-p1": ((3, 4, 5, 7), (4, 4, 3, 3), 1, 1),
+    "o2c5-k3-s1-p1": ((3, 5, 6, 4), (2, 5, 3, 3), 1, 1),
+    "o2c3-k3-s1-p0": ((2, 3, 6, 7), (2, 3, 3, 3), 1, 0),
+    "k5-s1-p2": ((2, 3, 7, 6), (3, 3, 5, 5), 1, 2),
+    "k1x3-s1-p0": ((2, 3, 5, 6), (2, 3, 1, 3), 1, 0),
     "o1-k3-s2-p0": ((3, 2, 6, 5), (1, 2, 3, 3), 2, 0),
     "o1c1-k3-s2-p1": ((3, 1, 9, 6), (1, 1, 3, 3), 2, 1),
     "k3-s1-p0": ((1, 2, 6, 9), (3, 2, 3, 3), 1, 0),
@@ -170,23 +175,33 @@ def test_conv_gradients_match_loop_oracle(case):
     assert np.allclose(k.grad, want_dk, rtol=1e-12)
 
 
+def test_conv_grad_cases_cover_both_backward_paths():
+    from_g = {name for name, (_, (o, c, kh, kw), stride, padding) in CONV_GRAD_CASES.items()
+              if tensorcore._correlates_g(stride, padding, kh, kw, o, c)}
+    assert from_g == {"o4c4-k3-s1-p1", "o2c5-k3-s1-p1", "o2c3-k3-s1-p0", "k5-s1-p2",
+                      "k1x3-s1-p0", "k1-s1-p0", "o1c1-k1-s1-p0"}
+
+
 def test_conv_backward_scratch_is_bounded(traced_peak):
-    # the 8-channel 3x3 conv at batch 10, 64x64: its column buffer holds
-    # 8*9 x 10*64*64 doubles (22.5 MB); dx builds a product of the same size,
-    # so holding the buffer into dx would double the peak
+    # the 3x3 refine convs at batch 10: the columns of the padded g,
+    # (B, O*9, H*W), are as large as x's, 8*9 x 10*64*64 doubles (22.5 MB) at
+    # 64x64; dk is taken from them first, then dx is written straight into
+    # (B, C, H, W), and the padded g, the columns and a leaf's copy of dx
+    # never all live at once
     rng = np.random.default_rng(3)
-    x = Tensor(rng.standard_normal((10, 8, 64, 64)))
-    k = Tensor(rng.standard_normal((8, 8, 3, 3)))
-    y = conv2d(x, k, padding=1)
-    g = rng.standard_normal(y.shape)
-    cols_bytes = 8 * 9 * 10 * 64 * 64 * 8
-    with traced_peak() as traced:
-        y._grad_fn(g)
-    assert traced.peak < 1.5 * cols_bytes
+    for c, side in ((8, 64), (16, 32)):
+        x = Tensor(rng.standard_normal((10, c, side, side)))
+        k = Tensor(rng.standard_normal((c, c, 3, 3)))
+        y = conv2d(x, k, padding=1)
+        g = rng.standard_normal(y.shape)
+        cols_bytes = c * 9 * 10 * side * side * 8
+        with traced_peak() as traced:
+            y._grad_fn(g)
+        assert traced.peak < 1.25 * cols_bytes, (c, side, traced.peak / cols_bytes)
 
 
 def test_recorded_conv_holds_no_padded_copy(traced_peak):
-    # the closure keeps x, a graph parent already, and re-pads it in
+    # the closure keeps x, a graph parent already, and pads only inside
     # backward; a padded copy of x held for backward would be (66/64)^2,
     # about 1.06x, the input
     rng = np.random.default_rng(3)
@@ -403,6 +418,26 @@ def test_backward_frees_interior_gradients():
         ana = tensor.grad.reshape(-1)
         for i, g in fd_gradient(f, arr).items():
             assert rel_err(ana[i], g) < 1e-4
+
+
+def test_leaf_gradients_are_writable_and_own_their_memory():
+    # interior nodes may hold the very array their child handed down; a
+    # leaf's grad must not, whichever op passed g through unchanged
+    rng = np.random.default_rng(9)
+    a, b, c, d = (Tensor(rng.standard_normal((2, 3, 4, 5))) for _ in range(4))
+    k = Parameter(rng.standard_normal((3, 3, 1, 1)))
+    loss = add(add(global_sum(a), global_sum(bilinear_resize(b, 4, 5))),
+               add(global_sum(add(c, c)), global_sum(conv2d(bilinear_resize(d, 4, 5), k))))
+    nodes = ComputeGraph.trace(loss).nodes
+    backward(loss)
+    leaves = [n for n in nodes if n._grad_fn is None]
+    assert len(leaves) == 5
+    for leaf in leaves:
+        assert leaf.grad.flags.writeable
+        others = [n.data for n in nodes] + [n.grad for n in nodes if n is not leaf and n.grad is not None]
+        assert not any(np.shares_memory(leaf.grad, arr) for arr in others)
+    assert np.array_equal(a.grad, np.ones(a.shape)) and np.array_equal(b.grad, a.grad)
+    assert np.array_equal(c.grad, 2 * a.grad)
 
 
 def test_composite_gradients_match_fd_many_seeds():
