@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
-"""Build the default refinement network and run single- and multi-scale
-prediction on a synthetic image."""
+"""Build the default refinement network, run single- and multi-scale
+prediction on a synthetic image, and trace the memory peak of one predict at
+twice BSDS size."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -12,6 +15,7 @@ from crispedge import (
     predict,
     predict_multiscale,
 )
+from crispedge.tensorcore import bilinear_resize, no_grad
 
 topo = default_topology()
 print("encoder stages :", [(s.channels, s.stride) for s in topo.encoder_stages])
@@ -39,3 +43,16 @@ print(f"three-scale prediction : shape {pm3.shape}, "
 
 diff = np.abs(pm - pm3).mean()
 print(f"mean |single - multi|  : {diff:.4f}")
+
+# memory at BSDS size: multiscale testing at scale 2 runs the network on a
+# 642x962 input; one float32 predict there holds a few full-resolution
+# 8-channel maps at once, every feature freed as its last reader sums it
+bsds = gen_synthetic(1, (321, 481), annotators=3, jitter_px=1.0, seed=0)[0].image
+with no_grad():
+    big = bilinear_resize(bsds, 642, 962)
+tracemalloc.start()
+predict(net, big)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+print(f"traced peak of one predict on the 2x-upscaled {bsds.shape[2]}x{bsds.shape[3]} "
+      f"image ({big.shape[2]}x{big.shape[3]}): {peak / 2**20:.1f} MiB")

@@ -64,8 +64,9 @@ class NetworkTopology:
         A block fuses 1 to 3 inputs at neighboring resolutions (each step at
         most 2x) or exactly 2 inputs 4x apart. It has its smallest input
         channel count and its finest input's resolution. Raises
-        TopologyError on dangling references, misdeclared scales, inputs
-        outside that rule, or a last block below full resolution.
+        TopologyError on dangling references, a source listed twice in one
+        block, misdeclared scales, inputs outside that rule, or a last block
+        below full resolution.
         """
         if not self.encoder_stages:
             raise TopologyError("topology needs at least one encoder stage")
@@ -83,6 +84,9 @@ class NetworkTopology:
                 raise TopologyError(f"duplicate block name {spec.name!r}")
             if not spec.input_slots:
                 raise TopologyError(f"block {spec.name!r} has no inputs")
+            sources = [src for src, _ in spec.input_slots]
+            if len(set(sources)) != len(sources):
+                raise TopologyError(f"block {spec.name!r} lists a source twice: {sources}")
             for src, declared_scale in spec.input_slots:
                 if src not in known:
                     raise TopologyError(f"block {spec.name!r} references unknown source {src!r}")
@@ -165,18 +169,25 @@ class RefineBlock:
         self.projections = projections
         self.wconv = wconv
 
-    def forward(self, inputs: list[Tensor]) -> Tensor:
-        if not inputs:
-            raise ContractError(f"refine block {self.spec.name!r} got no inputs")
-        target_h, target_w = inputs[0].shape[2], inputs[0].shape[3]
+    def forward(self, inputs) -> Tensor:
+        """Fuse one input per slot, taken in slot order from any iterable;
+        each input is dropped as soon as it is in the running sum."""
+        inputs = iter(inputs)
         total = None
-        for (src, _), x in zip(self.spec.input_slots, inputs):
+        for src, _ in self.spec.input_slots:
+            x = next(inputs, None)
+            if x is None:
+                raise ContractError(f"refine block {self.spec.name!r} takes "
+                                    f"{len(self.spec.input_slots)} inputs, one per slot")
+            if total is None:
+                target_h, target_w = x.shape[2], x.shape[3]
             proj = self.projections.get(src)
             if proj is not None:
                 x = conv2d(x, proj)  # 1x1, projecting before the (cheaper) upsample
             if x.shape[2] != target_h or x.shape[3] != target_w:
                 x = bilinear_resize(x, target_h, target_w)
             total = x if total is None else add(total, x)
+            del x
         return self.wconv.forward(total)
 
 
@@ -190,12 +201,12 @@ class RefineNet:
         self.head_kernel = head_kernel
         self.head_bias = head_bias
         self._head_src = topology.head_source()
-        # the features each block is the last to read, freed once it has run
+        # the features each block is the last to read, popped as it reads them
         last_reader = {}
         for i, block in enumerate(blocks):
             for src, _ in block.spec.input_slots:
                 last_reader[src] = i
-        self._last_reads = [[src for src, j in last_reader.items() if j == i and src != self._head_src]
+        self._last_reads = [{src for src, j in last_reader.items() if j == i and src != self._head_src}
                             for i in range(len(blocks))]
 
     def params(self) -> list[Parameter]:
@@ -222,9 +233,10 @@ class RefineNet:
             feats[f"enc{i}"] = h
         del h    # the last stage's output is then freed with its feats entry
         for block, last_reads in zip(self.blocks, self._last_reads):
-            feats[block.spec.name] = block.forward([feats[src] for src, _ in block.spec.input_slots])
-            for src in last_reads:
-                del feats[src]
+            # a generator, so only the block's running sum outlives its inputs
+            feats[block.spec.name] = block.forward(
+                feats.pop(src) if src in last_reads else feats[src]
+                for src, _ in block.spec.input_slots)
         logits = add(conv2d(feats[self._head_src], self.head_kernel), self.head_bias)
         return sigmoid(logits)
 

@@ -1,8 +1,10 @@
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
+from crispedge import network, tensorcore
 from crispedge.errors import ContractError, DomainError, ShapeError, TopologyError
 from crispedge.losses import AdaptiveLossState, ConsensusWeightMap, LossConfig, adaptive_loss
 from crispedge.network import (
@@ -21,6 +23,7 @@ from crispedge.tensorcore import (
     Tensor,
     backward,
     bilinear_resize,
+    no_grad,
     resize_array,
     zero_grads,
 )
@@ -99,6 +102,17 @@ def test_topology_dangling_source():
         refine_blocks=(RefineBlockSpec("r1", (("enc9", 1),)),),
     )
     with pytest.raises(TopologyError):
+        topo.validate()
+
+
+def test_topology_rejects_a_source_listed_twice():
+    # the forward pops a feature at its last read, so a second read of the
+    # same source in one block would find it gone
+    topo = NetworkTopology(
+        encoder_stages=(StageSpec(4, 1),),
+        refine_blocks=(RefineBlockSpec("r1", (("enc1", 1), ("enc1", 1))),),
+    )
+    with pytest.raises(TopologyError, match="block 'r1' lists a source twice"):
         topo.validate()
 
 
@@ -236,6 +250,13 @@ def test_refine_block_empty_inputs():
         net.blocks[0].forward([])
 
 
+def test_refine_block_takes_one_input_per_slot():
+    # a two-slot block given one input is refused, not fused from one
+    net = build_refine_net(small_topology(), seed=0)
+    with pytest.raises(ContractError, match="takes 2 inputs"):
+        net.blocks[0].forward([Tensor(np.zeros((1, 4, 8, 8)))])
+
+
 def test_forward_channel_mismatch():
     net = build_refine_net(seed=0)
     with pytest.raises(ShapeError, match="network reads one-channel images, got 3 channels"):
@@ -323,14 +344,63 @@ def test_predict_returns_float64_and_leaves_the_net_alone():
 
 
 def test_predict_peak_memory_at_bsds_size(traced_peak):
+    # at 321x481 the graph-building forward peaks near 426 MB, and the
+    # float64 graph-free one near 96 MiB; the float32 one peaks near 32 MiB,
+    # so an upcast to float64 anywhere in the forward crosses the bound. At
+    # 642x962, the input a scale of 2 runs, it peaks near 76 MiB, about four
+    # full-resolution 8-channel maps: a whole padded copy of a conv's input,
+    # or a block's inputs held through its weight conv, crosses the bound
     net = build_refine_net(seed=0)
-    img = Tensor(np.random.default_rng(0).uniform(0, 1, (1, 1, 321, 481)))
-    with traced_peak() as traced:
-        predict(net, img)
-    # the graph-building forward peaks near 426 MB, and the float64
-    # graph-free one near 96 MiB; the float32 one peaks near 49 MiB, so an
-    # upcast to float64 anywhere in the forward crosses this bound
-    assert traced.peak < 64 * 2**20
+    for (h, w), bound_mib in (((321, 481), 40), ((642, 962), 90)):
+        img = Tensor(np.random.default_rng(0).uniform(0, 1, (1, 1, h, w)))
+        with traced_peak() as traced:
+            predict(net, img)
+        assert traced.peak < bound_mib * 2**20, (h, w, traced.peak / 2**20)
+
+
+def test_each_feature_is_freed_at_its_last_read(monkeypatch):
+    # weak references to every encoder and block output: when a block's
+    # weight conv runs, and when the head conv runs, a feature is alive
+    # only if a later block or the head still reads it
+    net = build_refine_net(seed=0)
+    topo = net.topology
+    enc_names = [f"enc{i}" for i in range(1, len(topo.encoder_stages) + 1)]
+    block_names = [spec.name for spec in topo.refine_blocks]
+    last_reader = {topo.head_source(): float("inf")}    # the head conv's own input
+    for i, spec in enumerate(topo.refine_blocks):
+        for src, _ in spec.input_slots:
+            last_reader[src] = i
+    refs = {}
+    seen = []
+
+    def keeping(op, names):
+        names = iter(names)
+
+        def wrapped(*args, **kwargs):
+            out = op(*args, **kwargs)
+            name = next(names, None)    # relu also runs in every weight conv
+            if name is not None:
+                refs[name] = weakref.ref(out.data)
+            return out
+        return wrapped
+
+    def conv2d(x, kernel, **kwargs):
+        readers = [b.wconv.kernel for b in net.blocks] + [net.head_kernel]
+        for i, k in enumerate(readers):
+            if kernel is k:
+                alive = {name for name, ref in refs.items() if ref() is not None}
+                assert alive == {name for name in refs if last_reader[name] > i}, i
+                seen.append(i)
+        return tensorcore.conv2d(x, kernel, **kwargs)
+
+    monkeypatch.setattr(network, "relu", keeping(tensorcore.relu, enc_names))
+    monkeypatch.setattr(network, "mul", keeping(tensorcore.mul, block_names))
+    monkeypatch.setattr(network, "conv2d", conv2d)
+    img = Tensor(np.random.default_rng(1).uniform(0, 1, (1, 1, 32, 32)))
+    with no_grad():
+        net.forward(img)
+    assert seen == list(range(len(block_names) + 1))
+    assert set(refs) == set(enc_names + block_names)
 
 
 def test_predict_zero_image_gives_half():

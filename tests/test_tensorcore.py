@@ -64,6 +64,22 @@ def test_conv_matches_nested_loop_oracle():
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
+def test_conv_row_blocks_match_nested_loop_oracle(monkeypatch):
+    # a budget of 40 column elements makes every output row its own block:
+    # block edges cut through the padded rows, and at padding 3 the first and
+    # last blocks read padding only, below the input's last row with KH = 2
+    monkeypatch.setattr(tensorcore, "_IM2COL_BUDGET", 40)
+    rng = np.random.default_rng(5)
+    for kh, kw, stride, padding in [(3, 3, 1, 1), (3, 3, 2, 1), (3, 3, 1, 3), (2, 3, 1, 3),
+                                    (2, 3, 2, 3), (1, 1, 1, 0), (3, 3, 2, 0)]:
+        x = rng.standard_normal((2, 2, 7, 6))
+        k = rng.standard_normal((3, 2, kh, kw))
+        with no_grad():
+            got = conv2d(Tensor(x), Tensor(k), stride=stride, padding=padding).data
+        want = conv2d_loops(x, k, stride=stride, padding=padding)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12), (kh, kw, stride, padding)
+
+
 def _default_conv_shapes(h, w):
     """(out, in, kernel size, stride, input h, input w) of every conv in the
     default network on an h x w image: the 3x3 encoder stages and weight
@@ -214,17 +230,16 @@ def test_recorded_conv_holds_no_padded_copy(traced_peak):
 
 def test_conv_forward_scratch_is_one_block(traced_peak):
     # an 8-channel 3x3 conv at 512x512: its whole column buffer would hold
-    # 8*9 x 512*512 doubles (151 MB), over four blocks of _IM2COL_BUDGET
+    # 8*9 x 512*512 doubles (151 MB), over four blocks of _IM2COL_BUDGET; a
+    # whole padded copy of the input would add about half a block
     rng = np.random.default_rng(4)
-    xp = np.pad(rng.standard_normal((1, 8, 512, 512)), ((0, 0), (0, 0), (1, 1), (1, 1)))
-    s = xp.strides
-    view = np.lib.stride_tricks.as_strided(xp, (1, 8, 3, 3, 512, 512), s + s[2:])
-    kernel = rng.standard_normal((8, 8, 3, 3))
+    x = Tensor(rng.standard_normal((1, 8, 512, 512)))
+    k = Tensor(rng.standard_normal((8, 8, 3, 3)))
     block_bytes = 8 * tensorcore._IM2COL_BUDGET
-    assert view.nbytes > 4 * block_bytes
-    with traced_peak() as traced:
-        y = tensorcore._conv_forward(view, kernel)
-    assert traced.peak - y.nbytes < 1.25 * block_bytes
+    assert 8 * 9 * x.data.nbytes > 4 * block_bytes
+    with no_grad(), traced_peak() as traced:
+        y = conv2d(x, k, padding=1)
+    assert traced.peak - y.data.nbytes < 1.25 * block_bytes
 
 
 # ---------------------------------------------------------------------------
