@@ -8,6 +8,7 @@ minute; expect rough scores at this size, the point is the moving parts.
 import dataclasses
 
 from crispedge import TrainConfig, gen_synthetic, train
+from crispedge.trainer import holdout_split
 
 data = gen_synthetic(30, (48, 48), annotators=3, jitter_px=1.0, seed=2)
 print(f"{len(data)} samples, {data[0].annotations.n} annotators each")
@@ -27,7 +28,8 @@ for e, v in enumerate(report.loss_trace):
     print(f"{e:5d}  {v:.4f}")
 
 print()
-print(f"holdout ids: {', '.join(report.holdout_ids)}")
+held = holdout_split([s.id for s in data], config.holdout_fraction)
+print(f"holdout ids: {', '.join(sorted(held))}")
 scores = report.scores
 print(f"holdout ODS-C {scores.correctness.scores.ods:.4f}  "
       f"ODS-L {scores.localness.scores.ods:.4f}  "

@@ -36,6 +36,7 @@ from .errors import (
     ValidationError,
 )
 from .evalbench import (
+    N_THRESHOLDS,
     as_probability_map,
     eval_criteria,
     fmt,
@@ -45,13 +46,7 @@ from .evalbench import (
 )
 from .gradcheck import FD_LIMIT, audit, worst_of
 from .losses import AnnotationSet, LossConfig
-from .network import (
-    ScaleSet,
-    build_refine_net,
-    default_topology,
-    predict,
-    predict_multiscale,
-)
+from .network import ScaleSet, build_refine_net, predict, predict_multiscale
 from .tensorcore import OptimizerConfig
 from .trainer import (
     LOSS_MODES,
@@ -69,7 +64,8 @@ def _fields(prefix, config, skip=()):
             for f in dataclasses.fields(config) if f.name not in skip}
 
 
-# every setting with its default; the default's type is the kind its text parses to
+# every setting with its default, whose type is the kind its text parses to; the
+# train.*, opt.* and loss.* keys are the fields of the training config dataclasses
 DEFAULTS = {
     "gen.count": 200,
     "gen.height": 64,
@@ -80,7 +76,7 @@ DEFAULTS = {
     **_fields("opt", TrainConfig().optimizer),
     **_fields("loss", TrainConfig().loss_config),
     "eval.max_dist_fraction": 0.0075,
-    "eval.n_thresholds": 33,
+    "eval.n_thresholds": N_THRESHOLDS,
     "infer.scales": (),
 }
 
@@ -183,7 +179,7 @@ def _cmd_gen(cfg, args):
 def _cmd_train(cfg, args):
     dataset = load_dataset(args.manifest)
     config = _train_config(cfg, args.seed)
-    net, report = train(dataset, default_topology(), config)
+    net, report = train(dataset, config)
     os.makedirs(args.out_dir, exist_ok=True)
     params_path = os.path.join(args.out_dir, "params.crb")
     write_crb(params_path, _flat_params(net))
@@ -199,7 +195,7 @@ def _cmd_train(cfg, args):
 
 
 def _cmd_infer(cfg, args):
-    net = build_refine_net(default_topology(), seed=0)
+    net = build_refine_net(seed=0)
     _load_params_into(net, args.params)
     image = read_raster(args.image)
     scales = cfg["infer.scales"]
@@ -252,7 +248,7 @@ def _cmd_ablate(cfg, args):
     dataset = load_dataset(args.manifest)
     config = _train_config(cfg, args.seed)
     modes = tuple(args.modes.split(",")) if args.modes else LOSS_MODES
-    rows = ablation_run(dataset, default_topology(), modes, config)
+    rows = ablation_run(dataset, modes, config)
     csv = ablation_csv(rows)
     os.makedirs(args.out_dir, exist_ok=True)
     with open(os.path.join(args.out_dir, "ablation.csv"), "w", encoding="ascii") as fh:

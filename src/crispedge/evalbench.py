@@ -306,7 +306,11 @@ def precision_recall_f(counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return precision, recall, f
 
 
-def default_thresholds(n: int = 33) -> list[float]:
+# the threshold count of the BSDS-style precision-recall sweep
+N_THRESHOLDS = 33
+
+
+def default_thresholds(n: int = N_THRESHOLDS) -> list[float]:
     """n uniform thresholds strictly inside (0, 1)."""
     if n < 1:
         raise ContractError(f"threshold count must be >= 1, got {n}")
@@ -433,7 +437,7 @@ class EvalReport:
 
 
 def eval_criteria(preds: Sequence, annotations_per_image: Sequence[AnnotationSet],
-                  base_fraction: float, n_thresholds: int = 33) -> EvalReport:
+                  base_fraction: float, n_thresholds: int = N_THRESHOLDS) -> EvalReport:
     """Score every prediction three ways: standard tolerance with
     post-processing, quarter tolerance with post-processing, and standard
     tolerance on the raw map."""

@@ -69,6 +69,8 @@ class ConsensusWeightMap:
             arr = arr[:, None]
         if arr.ndim != 4 or arr.shape[1] != 1:
             raise ShapeError(f"weight map must be (B, 1, H, W), got {arr.shape}")
+        if arr.size == 0:
+            raise ShapeError(f"weight map has no pixels, shape is {arr.shape}")
         if not np.isfinite(arr).all():
             raise DomainError("weight map has non-finite values")
         if np.any(arr < 0.0) or np.any(arr > 1.0):
@@ -90,25 +92,21 @@ def batch_weight_maps(annotation_sets: Sequence[AnnotationSet]) -> ConsensusWeig
     return ConsensusWeightMap.from_array(np.stack([a.maps.mean(axis=0) for a in sets]))
 
 
+# probabilities are clipped to [CLAMP, 1 - CLAMP] before the cross-entropy's logs
+CLAMP = 1e-6
+# added to both sides of the overlap ratio, so empty labels and prediction give 1
+EPSILON = 1e-6
+
+
 @dataclass(frozen=True)
 class LossConfig:
-    """Shared numeric guards and the fixed balance factor of the adaptive
-    fusion. ``clamp`` bounds probabilities away from {0, 1} before logs."""
+    """The fixed balance factor of the adaptive fusion's overlap term."""
 
-    epsilon: float = 1e-6
     zeta: float = 0.1
-    clamp: float = 1e-6
 
     def __post_init__(self):
-        for name in ("epsilon", "zeta", "clamp"):
-            if not math.isfinite(getattr(self, name)):
-                raise ContractError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.epsilon <= 0.0:
-            raise ContractError(f"epsilon must be positive, got {self.epsilon}")
-        if self.zeta <= 0.0:
-            raise ContractError(f"zeta must be positive, got {self.zeta}")
-        if not 0.0 < self.clamp < 0.5:
-            raise ContractError(f"clamp must be in (0, 0.5), got {self.clamp}")
+        if not 0.0 < self.zeta < math.inf:
+            raise ContractError(f"zeta must be positive and finite, got {self.zeta}")
 
 
 class AdaptiveLossState:
@@ -141,7 +139,7 @@ def _check_p(p: Tensor, spatial: tuple) -> None:
         raise ShapeError(f"prediction shape {p.shape} does not match labels {spatial}")
 
 
-def soft_ce(p: Tensor, wmap: ConsensusWeightMap, config: LossConfig = LossConfig()) -> Tensor:
+def soft_ce(p: Tensor, wmap: ConsensusWeightMap) -> Tensor:
     """Consensus-weighted cross-entropy, count-normalized per class.
 
     Positive pixels (w > 0) contribute w_i * log p_i scaled by beta / #pos;
@@ -152,26 +150,25 @@ def soft_ce(p: Tensor, wmap: ConsensusWeightMap, config: LossConfig = LossConfig
     pos_mask = wmap.w > 0.0
     pos_scale = -(wmap.beta / wmap.pos_count) if wmap.pos_count else 0.0
     neg_scale = -((1.0 - wmap.beta) / wmap.neg_count) if wmap.neg_count else 0.0
-    pc = clip(p, config.clamp, 1.0 - config.clamp)
+    pc = clip(p, CLAMP, 1.0 - CLAMP)
     one_minus = add(mul(pc, -1.0), 1.0)
     pos_coef = np.where(pos_mask, wmap.w * pos_scale, 0.0)
     neg_coef = np.where(pos_mask, 0.0, neg_scale)
     return global_sum(add(mul(log(pc), pos_coef), mul(log(one_minus), neg_coef)))
 
 
-def soft_dice(p: Tensor, wmap: ConsensusWeightMap, config: LossConfig = LossConfig()) -> Tensor:
+def soft_dice(p: Tensor, wmap: ConsensusWeightMap) -> Tensor:
     """Reciprocal overlap against the consensus weights with an epsilon guard
     on both sides of the ratio; minimum value 1 at pointwise agreement."""
     _check_p(p, wmap.w.shape)
-    eps = config.epsilon
-    num = add(global_sum(square(p)), float((wmap.w * wmap.w).sum()) + eps)
-    den = add(mul(global_sum(mul(p, wmap.w)), 2.0), eps)
+    num = add(global_sum(square(p)), float((wmap.w * wmap.w).sum()) + EPSILON)
+    den = add(mul(global_sum(mul(p, wmap.w)), 2.0), EPSILON)
     return mul(num, reciprocal(den))
 
 
-def combined_loss(p: Tensor, wmap: ConsensusWeightMap, config: LossConfig = LossConfig()) -> Tensor:
+def combined_loss(p: Tensor, wmap: ConsensusWeightMap) -> Tensor:
     """Fixed 1:1 fusion of the two soft losses."""
-    return add(soft_ce(p, wmap, config), soft_dice(p, wmap, config))
+    return add(soft_ce(p, wmap), soft_dice(p, wmap))
 
 
 def adaptive_loss(p: Tensor, wmap: ConsensusWeightMap, awl: AdaptiveLossState,
@@ -182,8 +179,8 @@ def adaptive_loss(p: Tensor, wmap: ConsensusWeightMap, awl: AdaptiveLossState,
     The log term stops both weights from growing without bound; gradients
     reach the log-parameterized weights as well as the network.
     """
-    sce = soft_ce(p, wmap, config)
-    sd = soft_dice(p, wmap, config)
+    sce = soft_ce(p, wmap)
+    sd = soft_dice(p, wmap)
     kappa = exp(awl.log_kappa)
     tau = exp(awl.log_tau)
     inv_k2 = exp(mul(awl.log_kappa, -2.0))

@@ -135,7 +135,7 @@ MAX_SCALE = 4.0
 
 @dataclass(frozen=True)
 class ScaleSet:
-    scales: tuple[float, ...] = (0.5, 1.0, 2.0)
+    scales: tuple[float, ...]
 
     def __post_init__(self):
         if not self.scales:
@@ -307,7 +307,7 @@ def predict(net: RefineNet, image: Tensor) -> np.ndarray:
     return out.data[0, 0].astype(np.float64)
 
 
-def predict_multiscale(net: RefineNet, image: Tensor, scales: ScaleSet = ScaleSet()) -> np.ndarray:
+def predict_multiscale(net: RefineNet, image: Tensor, scales: ScaleSet) -> np.ndarray:
     """Run the network at each scale, resize every map back to the input
     size, and average them in the listed order."""
     h, w = image.shape[2], image.shape[3]

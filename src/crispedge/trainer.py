@@ -23,7 +23,7 @@ from .losses import (
     soft_ce,
     soft_dice,
 )
-from .network import build_refine_net, default_topology, predict
+from .network import build_refine_net, predict
 from .tensorcore import OptimizerConfig, Tensor, backward, sgd_step
 
 # the two consensus losses and their two fusions; an ablation compares all four
@@ -67,7 +67,6 @@ class TrainReport:
     loss_trace: list = field(default_factory=list)
     kappa_trace: list = field(default_factory=list)
     tau_trace: list = field(default_factory=list)
-    holdout_ids: tuple = ()
     scores: object = None  # EvalReport on the holdout, None when it is empty
 
 
@@ -84,23 +83,21 @@ def holdout_split(ids, fraction):
 def _batch_loss(pred, wmap, config, awl_state):
     mode = config.loss_mode
     if mode == "sce":
-        return soft_ce(pred, wmap, config.loss_config)
+        return soft_ce(pred, wmap)
     if mode == "sd":
-        return soft_dice(pred, wmap, config.loss_config)
+        return soft_dice(pred, wmap)
     if mode == "sce+sd":
-        return combined_loss(pred, wmap, config.loss_config)
+        return combined_loss(pred, wmap)
     return adaptive_loss(pred, wmap, awl_state, config.loss_config)
 
 
-def train(dataset, topology=None, config=TrainConfig()):
+def train(dataset, config=TrainConfig()):
     """Returns (trained network, TrainReport). Deterministic in config.seed."""
     if not dataset:
         raise ContractError("training needs a non-empty dataset")
     shapes = {s.annotations.spatial_shape for s in dataset}
     if len(shapes) != 1:
         raise ShapeError(f"training set mixes spatial shapes: {sorted(shapes)}")
-    if topology is None:
-        topology = default_topology()
 
     held = holdout_split([s.id for s in dataset], config.holdout_fraction)
     train_set = [s for s in dataset if s.id not in held]
@@ -108,11 +105,11 @@ def train(dataset, topology=None, config=TrainConfig()):
     if not train_set:
         raise ContractError("the holdout split consumed every sample")
 
-    net = build_refine_net(topology, seed=config.seed)
+    net = build_refine_net(seed=config.seed)
     awl_state = AdaptiveLossState() if config.loss_mode == "awl" else None
     params = net.params() + (awl_state.params() if awl_state else [])
 
-    report = TrainReport(holdout_ids=tuple(sorted(held)))
+    report = TrainReport()
     opt = config.optimizer
     for epoch in range(config.epochs):
         if epoch in config.lr_decay_epochs:
@@ -158,7 +155,7 @@ class AblationRow:
     ods_t: float
 
 
-def ablation_run(dataset, topology=None, modes=LOSS_MODES, config=TrainConfig()):
+def ablation_run(dataset, modes=LOSS_MODES, config=TrainConfig()):
     """Train one network per loss mode from a shared seed; returns the rows."""
     if not holdout_split([s.id for s in dataset], config.holdout_fraction):
         raise ContractError("ablation needs a non-empty holdout split")
@@ -166,7 +163,7 @@ def ablation_run(dataset, topology=None, modes=LOSS_MODES, config=TrainConfig())
     configs = [dataclasses.replace(config, loss_mode=mode) for mode in modes]
     rows = []
     for mode_config in configs:
-        _, report = train(dataset, topology, mode_config)
+        _, report = train(dataset, mode_config)
         rows.append(AblationRow(
             mode=mode_config.loss_mode,
             ods_c=report.scores.correctness.scores.ods,

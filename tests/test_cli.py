@@ -258,9 +258,7 @@ TRAINING_KEY_VALUES = {
     "opt.momentum": ("0.5", 0.5),
     "opt.weight_decay": ("0", 0.0),
     "opt.lr_decay": ("0.5", 0.5),
-    "loss.epsilon": ("1e-8", 1e-8),
     "loss.zeta": ("0.2", 0.2),
-    "loss.clamp": ("0.001", 0.001),
 }
 
 
@@ -282,7 +280,7 @@ def test_show_config_reads_back_as_the_same_config(tmp_path, capsys, lines):
     first.write_text(lines)
     code, out, err = invoke(capsys, "gen", "--config", str(first), "--show-config")
     assert code == 0, err
-    assert "loss.epsilon = 1e-06\n" in out
+    assert "loss.zeta = 0.1\n" in out
     shown.write_text(out)
     assert cli._load_config(str(shown), {}) == cli._load_config(str(first), {})
     assert invoke(capsys, "gen", "--config", str(shown), "--show-config")[1] == out
@@ -312,6 +310,13 @@ BAD_CONFIG_VALUES = [
     ("train.manual_kappa", "train.manual_kappa = 1",
      "train --manifest {dir}/ds/manifest.tsv --out-dir {dir}/t",
      "{dir}/c.cfg:1: unknown config key 'train.manual_kappa'"),
+    # the loss guards are constants of the losses module, not settings
+    ("loss.epsilon", "loss.epsilon = 1e-8",
+     "train --manifest {dir}/ds/manifest.tsv --out-dir {dir}/t",
+     "{dir}/c.cfg:1: unknown config key 'loss.epsilon'"),
+    ("loss.clamp", "loss.clamp = 0.001",
+     "train --manifest {dir}/ds/manifest.tsv --out-dir {dir}/t",
+     "{dir}/c.cfg:1: unknown config key 'loss.clamp'"),
 ]
 
 

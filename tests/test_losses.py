@@ -5,6 +5,8 @@ import pytest
 
 from crispedge.errors import ContractError, DomainError, ShapeError
 from crispedge.losses import (
+    CLAMP,
+    EPSILON,
     AdaptiveLossState,
     AnnotationSet,
     ConsensusWeightMap,
@@ -24,7 +26,6 @@ from oracles import (
     soft_dice_loops,
 )
 
-CFG = LossConfig()
 
 
 def random_w(rng, h=4, w=4, frac=0.4):
@@ -76,6 +77,17 @@ def test_weight_map_range_validation():
         ConsensusWeightMap.from_array(np.full((3, 3), 1.5))
 
 
+@pytest.mark.parametrize("shape", [(0, 4), (4, 0), (1, 1, 0, 4), (0, 1, 4, 4)])
+def test_weight_map_without_pixels_rejected(shape):
+    with pytest.raises(ShapeError, match="no pixels"):
+        ConsensusWeightMap.from_array(np.zeros(shape))
+
+
+def test_batch_of_empty_annotations_rejected():
+    with pytest.raises(ShapeError, match="no pixels"):
+        batch_weight_maps([AnnotationSet([np.zeros((0, 3))])])
+
+
 def test_batch_weight_maps_global_counts():
     m1 = np.zeros((3, 3))
     m1[0, 0] = 1.0
@@ -95,20 +107,20 @@ def test_soft_ce_all_negative_is_zero():
     wm = ConsensusWeightMap.from_array(np.zeros((4, 4)))
     rng = np.random.default_rng(1)
     p = Tensor(rng.uniform(0.1, 0.9, (4, 4)))
-    assert soft_ce(p, wm, CFG).item() == 0.0
+    assert soft_ce(p, wm).item() == 0.0
 
 
 def test_soft_ce_all_positive_is_zero():
     wm = ConsensusWeightMap.from_array(np.full((4, 4), 0.5))
     rng = np.random.default_rng(2)
     p = Tensor(rng.uniform(0.1, 0.9, (4, 4)))
-    assert soft_ce(p, wm, CFG).item() == 0.0
+    assert soft_ce(p, wm).item() == 0.0
 
 
 def test_soft_ce_symmetric_closed_form():
     w = np.array([[1.0, 1.0], [0.0, 0.0]])
     p = Tensor(np.full((1, 1, 2, 2), 0.5))
-    got = soft_ce(p, ConsensusWeightMap.from_array(w), CFG).item()
+    got = soft_ce(p, ConsensusWeightMap.from_array(w)).item()
     assert got == pytest.approx(math.log(2), rel=1e-12)
 
 
@@ -117,8 +129,8 @@ def test_soft_ce_matches_scalar_oracle():
         rng = np.random.default_rng(seed)
         p = rng.uniform(0.01, 0.99, (4, 4))
         w = random_w(rng)
-        got = soft_ce(Tensor(p), ConsensusWeightMap.from_array(w), CFG).item()
-        want = soft_ce_loops(p, w, CFG.clamp)
+        got = soft_ce(Tensor(p), ConsensusWeightMap.from_array(w)).item()
+        want = soft_ce_loops(p, w, CLAMP)
         assert rel_err(got, want) < 1e-12
 
 
@@ -126,7 +138,7 @@ def test_soft_losses_shape_mismatch():
     wm = ConsensusWeightMap.from_array(np.zeros((2, 2)))
     for loss in (soft_ce, soft_dice):
         with pytest.raises(ShapeError):
-            loss(Tensor(np.full((1, 1, 3, 3), 0.5)), wm, CFG)
+            loss(Tensor(np.full((1, 1, 3, 3), 0.5)), wm)
 
 
 def test_soft_ce_binary_w_normalizes_each_class_by_its_count():
@@ -145,7 +157,7 @@ def test_soft_ce_binary_w_normalizes_each_class_by_its_count():
         pos_part = -beta * sum(math.log(p[i, j]) for i in range(5) for j in range(5) if lab[i, j] > 0.5)
         neg_part = -(1 - beta) * sum(
             math.log(1 - p[i, j]) for i in range(5) for j in range(5) if lab[i, j] <= 0.5)
-        sce = soft_ce(Tensor(p), ConsensusWeightMap.from_array(lab), CFG).item()
+        sce = soft_ce(Tensor(p), ConsensusWeightMap.from_array(lab)).item()
         assert rel_err(sce, pos_part / n_pos + neg_part / n_neg) < 1e-12
 
 
@@ -156,9 +168,9 @@ def test_soft_ce_binary_w_normalizes_each_class_by_its_count():
 def test_soft_dice_equality_and_empty():
     rng = np.random.default_rng(3)
     w = random_w(rng)
-    got = soft_dice(Tensor(w), ConsensusWeightMap.from_array(w), CFG).item()
+    got = soft_dice(Tensor(w), ConsensusWeightMap.from_array(w)).item()
     assert got == pytest.approx(1.0, abs=1e-9)
-    empty = soft_dice(Tensor(np.zeros((3, 3))), ConsensusWeightMap.from_array(np.zeros((3, 3))), CFG)
+    empty = soft_dice(Tensor(np.zeros((3, 3))), ConsensusWeightMap.from_array(np.zeros((3, 3))))
     assert empty.item() == 1.0
 
 
@@ -167,8 +179,8 @@ def test_soft_dice_matches_scalar_oracle():
         rng = np.random.default_rng(seed)
         p = rng.uniform(0.0, 1.0, (4, 4))
         w = random_w(rng)
-        got = soft_dice(Tensor(p), ConsensusWeightMap.from_array(w), CFG).item()
-        want = soft_dice_loops(p, w, CFG.epsilon)
+        got = soft_dice(Tensor(p), ConsensusWeightMap.from_array(w)).item()
+        want = soft_dice_loops(p, w, EPSILON)
         assert rel_err(got, want) < 1e-12
 
 
@@ -177,7 +189,7 @@ def test_soft_dice_lower_bound():
         rng = np.random.default_rng(seed)
         p = rng.uniform(0.0, 1.0, (5, 5))
         w = random_w(rng, 5, 5)
-        val = soft_dice(Tensor(p), ConsensusWeightMap.from_array(w), CFG).item()
+        val = soft_dice(Tensor(p), ConsensusWeightMap.from_array(w)).item()
         assert val >= 1.0 - 1e-12
 
 
@@ -190,17 +202,17 @@ def test_combined_reductions_are_exact():
     rng = np.random.default_rng(4)
     p = Tensor(rng.uniform(0.05, 0.95, (4, 4)))
     wm = ConsensusWeightMap.from_array(random_w(rng))
-    sce, sd = soft_ce(p, wm, CFG).item(), soft_dice(p, wm, CFG).item()
-    assert combined_loss(p, wm, CFG).item() == sce + sd
+    sce, sd = soft_ce(p, wm).item(), soft_dice(p, wm).item()
+    assert combined_loss(p, wm).item() == sce + sd
 
 
 def test_adaptive_closed_form_at_unit_weights():
     rng = np.random.default_rng(5)
     p_arr = rng.uniform(0.05, 0.95, (4, 4))
     wm = ConsensusWeightMap.from_array(random_w(rng))
-    sce = soft_ce(Tensor(p_arr), wm, CFG).item()
-    sd = soft_dice(Tensor(p_arr), wm, CFG).item()
-    got = adaptive_loss(Tensor(p_arr), wm, AdaptiveLossState(1.0, 1.0), CFG).item()
+    sce = soft_ce(Tensor(p_arr), wm).item()
+    sd = soft_dice(Tensor(p_arr), wm).item()
+    got = adaptive_loss(Tensor(p_arr), wm, AdaptiveLossState(1.0, 1.0)).item()
     assert rel_err(got, sce + 0.1 * sd + math.log(2)) < 1e-12
 
 
@@ -208,9 +220,9 @@ def test_adaptive_closed_form_kappa_two():
     rng = np.random.default_rng(6)
     p_arr = rng.uniform(0.05, 0.95, (4, 4))
     wm = ConsensusWeightMap.from_array(random_w(rng))
-    sce = soft_ce(Tensor(p_arr), wm, CFG).item()
-    sd = soft_dice(Tensor(p_arr), wm, CFG).item()
-    got = adaptive_loss(Tensor(p_arr), wm, AdaptiveLossState(2.0, 1.0), CFG).item()
+    sce = soft_ce(Tensor(p_arr), wm).item()
+    sd = soft_dice(Tensor(p_arr), wm).item()
+    got = adaptive_loss(Tensor(p_arr), wm, AdaptiveLossState(2.0, 1.0)).item()
     assert rel_err(got, 0.25 * sce + 0.1 * sd + math.log(3)) < 1e-9
 
 
@@ -218,10 +230,10 @@ def test_adaptive_weight_gradients_closed_form_and_fd():
     rng = np.random.default_rng(7)
     p_arr = rng.uniform(0.05, 0.95, (4, 4))
     wm = ConsensusWeightMap.from_array(random_w(rng))
-    sce = soft_ce(Tensor(p_arr), wm, CFG).item()
-    sd = soft_dice(Tensor(p_arr), wm, CFG).item()
+    sce = soft_ce(Tensor(p_arr), wm).item()
+    sd = soft_dice(Tensor(p_arr), wm).item()
     state = AdaptiveLossState(1.0, 1.0)
-    loss = adaptive_loss(Tensor(p_arr), wm, state, CFG)
+    loss = adaptive_loss(Tensor(p_arr), wm, state)
     backward(loss)
     gk = state.log_kappa.grad.reshape(()).item()
     gt = state.log_tau.grad.reshape(()).item()
@@ -230,7 +242,7 @@ def test_adaptive_weight_gradients_closed_form_and_fd():
     assert abs(gt - (-2.0 * 0.1 * sd + 0.5)) < 1e-9
 
     def f():
-        return adaptive_loss(Tensor(p_arr), wm, state, CFG).item()
+        return adaptive_loss(Tensor(p_arr), wm, state).item()
 
     for param, ana in [(state.log_kappa, gk), (state.log_tau, gt)]:
         num = fd_gradient(f, param.data)
@@ -263,8 +275,8 @@ def test_losses_permutation_invariant():
     wp = w.reshape(-1)[perm].reshape(4, 4)
     wm, wmp = ConsensusWeightMap.from_array(w), ConsensusWeightMap.from_array(wp)
     pairs = [
-        (soft_ce(Tensor(p), wm, CFG), soft_ce(Tensor(pp), wmp, CFG)),
-        (soft_dice(Tensor(p), wm, CFG), soft_dice(Tensor(pp), wmp, CFG)),
+        (soft_ce(Tensor(p), wm), soft_ce(Tensor(pp), wmp)),
+        (soft_dice(Tensor(p), wm), soft_dice(Tensor(pp), wmp)),
     ]
     for a, b in pairs:
         assert rel_err(a.item(), b.item()) < 1e-12
@@ -278,10 +290,10 @@ def test_loss_gradients_wrt_p_match_fd():
     state = AdaptiveLossState()
 
     builders = [
-        lambda t: soft_ce(t, wm, CFG),
-        lambda t: soft_dice(t, wm, CFG),
-        lambda t: combined_loss(t, wm, CFG),
-        lambda t: adaptive_loss(t, wm, state, CFG),
+        lambda t: soft_ce(t, wm),
+        lambda t: soft_dice(t, wm),
+        lambda t: combined_loss(t, wm),
+        lambda t: adaptive_loss(t, wm, state),
     ]
     for build in builders:
         t = Tensor(p_arr)
@@ -299,9 +311,6 @@ def test_loss_gradients_wrt_p_match_fd():
 
 
 def test_loss_config_validation():
-    with pytest.raises(ContractError):
-        LossConfig(epsilon=0.0)
-    with pytest.raises(ContractError):
-        LossConfig(zeta=-0.1)
-    with pytest.raises(ContractError):
-        LossConfig(clamp=0.5)
+    for bad in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ContractError):
+            LossConfig(zeta=bad)

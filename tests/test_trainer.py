@@ -135,7 +135,6 @@ def test_holdout_split_properties():
 def test_holdout_scores_present():
     ds = tiny_set(12)
     _, report = train(ds, config=TrainConfig(batch_size=4, epochs=1, loss_mode="sce", seed=0))
-    assert report.holdout_ids
     assert report.scores is not None
     assert report.scores.correctness.scores.ods >= 0.0
 
@@ -148,7 +147,7 @@ def test_train_validation():
         train(mixed, config=TrainConfig(epochs=0))
     ds = tiny_set(2)
     with pytest.raises(ContractError):
-        train(ds, config=TrainConfig(holdout_fraction=0.999999), topology=None)
+        train(ds, config=TrainConfig(holdout_fraction=0.999999))
 
 
 def test_config_validation():

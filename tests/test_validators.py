@@ -54,10 +54,7 @@ CASES = {
                      ContractError),
     "opt.weight_decay": (lambda v: OptimizerConfig(weight_decay=v), below(0.0), ContractError),
     "opt.lr_decay": (lambda v: OptimizerConfig(lr_decay=v), at_most(0.0), ContractError),
-    "loss.epsilon": (lambda v: LossConfig(epsilon=v), at_most(0.0), ContractError),
     "loss.zeta": (lambda v: LossConfig(zeta=v), at_most(0.0), ContractError),
-    "loss.clamp": (lambda v: LossConfig(clamp=v), at_most(0.0) | at_least(0.5),
-                   ContractError),
     "train.holdout_fraction": (lambda v: TrainConfig(holdout_fraction=v),
                                below(0.0) | at_least(1.0), ContractError),
     "train.eval_fraction": (lambda v: TrainConfig(eval_fraction=v), at_most(0.0), ContractError),
