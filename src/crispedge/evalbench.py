@@ -62,7 +62,11 @@ def tolerance_pixels(h: int, w: int, max_dist_fraction: float) -> float:
     if not (math.isfinite(max_dist_fraction) and max_dist_fraction > 0.0):
         raise ContractError(f"tolerance fraction must be positive and finite, "
                             f"got {max_dist_fraction}")
-    return max_dist_fraction * math.sqrt(h * h + w * w)
+    tol = max_dist_fraction * math.sqrt(h * h + w * w)
+    if not math.isfinite(tol):
+        raise ContractError(f"tolerance fraction {max_dist_fraction} of a {h}x{w} image's "
+                            f"diagonal overflows")
+    return tol
 
 
 # ---------------------------------------------------------------------------
@@ -240,34 +244,92 @@ def _priority_matched(lengths: np.ndarray, indices: np.ndarray, n_gt: int,
     """Rows of the greedy maximum matching over the neighbor graph: rows in
     order of ``value`` descending, ties in row-major order, each kept when it
     can join the rows kept so far in one matching. Rows of value 0 or below
-    never match.
+    never match. Each row's column indices must ascend.
 
     The matchable row sets form a transversal matroid, so this greedy set is
-    the unique maximum-weight matched set under any distinct weights above 1
-    that order the rows that way. It is found by one sparse Jonker-Volgenant
-    assignment: the row of rank r (from 0) among m candidate rows weighs
-    ``m + 1 - r``, and each annotator pixel has a private dummy row of
-    weight 1, so a matching of every annotator pixel always exists. Every
-    prefix of the order, such as the rows at or above a threshold, keeps of
-    the greedy set a maximum matching of its own rows, whatever other rows
-    there are.
+    the unique maximum-weight matched set under any distinct positive weights
+    that order the rows that way, and it is found by a sparse
+    Jonker-Volgenant assignment. Every prefix of the order, such as the rows
+    at or above a threshold, keeps of the greedy set a maximum matching of
+    its own rows, whatever other rows there are.
+
+    The assignment's cost grows with its rows times the annotator pixels,
+    and a short prefix of the order often settles the whole set, so such a
+    prefix is tried first (``_prefix_matched``). The prefix must reach the
+    last annotator pixel in reach, in row-major order, and it is tried only
+    when twice the best rank among the rows that do leaves rows out.
+    ``match_boundaries`` passes equal values, which rank the rows in
+    row-major order, so it seldom tries one. Without a prefix that settles
+    the set, every candidate row is assigned: among m candidates the row of
+    rank r (from 0) weighs ``m + 1 - r``, and each annotator pixel has a
+    private dummy row of weight 1, so a full assignment always exists.
     """
     rows = np.flatnonzero((value > 0) & (lengths > 0))
     if not len(rows):
         return rows
     # the assignment's cost grows with its row count, so rows without an
     # edge are left out
-    weight = np.empty(len(rows))
-    weight[np.argsort(-value[rows], kind="stable")] = np.arange(len(rows) + 1, 1, -1)
+    m = len(rows)
+    rank = np.empty(m, dtype=np.int64)
+    rank[np.argsort(-value[rows], kind="stable")] = np.arange(m)
     counts = lengths[rows]
-    indptr = np.zeros(len(rows) + n_gt + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:len(rows) + 1])
-    indptr[len(rows) + 1:] = indptr[len(rows)] + np.arange(1, n_gt + 1)
-    data = np.concatenate([np.repeat(weight, counts), np.ones(n_gt)])
-    cols = np.concatenate([indices[np.repeat(value > 0, lengths)], np.arange(n_gt)])
-    graph = csr_matrix((data, cols, indptr), shape=(len(rows) + n_gt, n_gt))
+    cols = indices[np.repeat(value > 0, lengths)]
+    indptr = np.zeros(m + n_gt + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:m + 1])
+    # a row reaches the last annotator pixel in reach when its last column
+    # is that pixel
+    last = cols[indptr[1:m + 1] - 1]
+    if 2 * (rank[last == last.max()].min() + 1) < m:
+        matched = _prefix_matched(counts, cols, rank, n_gt)
+        if matched is not None:
+            return rows[matched]
+    indptr[m + 1:] = indptr[m] + np.arange(1, n_gt + 1)
+    data = np.concatenate([np.repeat((m + 1 - rank).astype(float), counts), np.ones(n_gt)])
+    graph = csr_matrix((data, np.concatenate([cols, np.arange(n_gt)]), indptr),
+                       shape=(m + n_gt, n_gt))
     matched, _ = min_weight_full_bipartite_matching(graph, maximize=True)
-    return rows[matched[matched < len(rows)]]
+    return rows[matched[matched < m]]
+
+
+def _prefix_matched(counts: np.ndarray, cols: np.ndarray, rank: np.ndarray,
+                    n_gt: int) -> np.ndarray | None:
+    """The greedy matched rows, as ``_priority_matched`` defines them, of
+    rows of ranks ``rank`` with ``counts`` edges each to the columns
+    ``cols``, found on a prefix of the ranking, or None when no prefix
+    tried settles them.
+
+    An annotator pixel is covered when a row has an edge to it, and no rows
+    match more than the covered pixels. Let ``k`` be twice the larger of the
+    covered count and the shortest prefix that reaches every covered pixel
+    (a shorter one cannot match them all; the slack keeps the assignment
+    off nearly square graphs, and a cut to the covered count alone ran for
+    over a minute on a crisp 321x481 map). With more than ``k`` rows, the
+    top ``k`` are assigned to the covered pixels alone, the row of rank r
+    weighing ``k - r``. When every covered pixel is matched, those rows are
+    the answer: the prefix's greedy set is the full greedy set restricted to
+    the prefix, and it is already as large as any matched set. When scipy
+    finds no such matching it raises ``ValueError``, and None is returned.
+    """
+    covered = np.zeros(n_gt, dtype=bool)
+    covered[cols] = True
+    n_covered = int(np.count_nonzero(covered))
+    # each covered pixel's best-ranked neighbor
+    best = np.full(n_gt, len(rank))
+    np.minimum.at(best, cols, np.repeat(rank, counts))
+    k = 2 * max(int(best[covered].max()) + 1, n_covered)
+    if k >= len(rank):
+        return None
+    keep = rank < k
+    indptr = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(counts[keep], out=indptr[1:])
+    column = np.cumsum(covered) - 1
+    graph = csr_matrix((np.repeat((k - rank[keep]).astype(float), counts[keep]),
+                        column[cols[np.repeat(keep, counts)]], indptr), shape=(k, n_covered))
+    try:
+        matched, _ = min_weight_full_bipartite_matching(graph, maximize=True)
+    except ValueError:   # the prefix cannot match every covered pixel
+        return None
+    return np.flatnonzero(keep)[matched]
 
 
 def match_boundaries(detected, gt, tol_px: float) -> tuple[int, int]:
@@ -320,26 +382,33 @@ def default_thresholds(n: int = N_THRESHOLDS) -> list[float]:
 def _counts_at_thresholds(base: np.ndarray, annotations: AnnotationSet,
                           thresholds: Sequence[float], tol_px: float) -> np.ndarray:
     """The (thresholds, 4) count rows of the detections ``base >= t`` for
-    each of the ascending ``thresholds``."""
-    # the pairs within tolerance are searched once over the support
-    # ``base > 0``, and each annotator is matched once for all thresholds by
-    # the greedy matching in order of value (``_priority_matched``). The
-    # pixels at or above a threshold are a prefix of that order, so their
-    # part of it is a maximum matching of them, the same on any threshold
-    # grid, and a pixel matched at one threshold stays matched at every lower
-    # one. A pixel's level is the number of thresholds it clears; pixels
-    # below every threshold are left out. Recall sums each annotator's
-    # matches, while a detected pixel counts toward precision once no matter
-    # how many annotators it satisfies
+    each of the ascending ``thresholds``, from one pair search over the
+    support ``base > 0``."""
     on = base > 0.0
-    vals = base[on]
+    gts = annotations.maps > 0.5
+    return _counts_on_graphs(base[on], _neighbor_graphs(on, gts, tol_px), gts, thresholds)
+
+
+def _counts_on_graphs(vals: np.ndarray, graphs: Sequence[tuple[np.ndarray, np.ndarray]],
+                      gts: np.ndarray, thresholds: Sequence[float]) -> np.ndarray:
+    """``_counts_at_thresholds`` of the support pixels, in row-major order,
+    of values ``vals`` and neighbor graphs ``graphs`` to the annotator maps
+    ``gts``."""
+    # each annotator is matched once for all thresholds by the greedy
+    # matching in order of value (``_priority_matched``). The pixels at or
+    # above a threshold are a prefix of that order, so their part of it is a
+    # maximum matching of them, the same on any threshold grid, and a pixel
+    # matched at one threshold stays matched at every lower one. A pixel's
+    # level is the number of thresholds it clears; pixels below every
+    # threshold are left out. Recall sums each annotator's matches, while a
+    # detected pixel counts toward precision once no matter how many
+    # annotators it satisfies
     level = np.searchsorted(thresholds, vals, side="right")
     value = np.where(level > 0, vals, 0.0)
-    gts = annotations.maps > 0.5
     n_levels = len(thresholds) + 1
     matched_union = np.zeros(len(level), dtype=bool)
     per_level = np.zeros((n_levels, 4), dtype=np.int64)
-    for (lengths, indices), gt in zip(_neighbor_graphs(on, gts, tol_px), gts):
+    for (lengths, indices), gt in zip(graphs, gts):
         rows = _priority_matched(lengths, indices, int(np.count_nonzero(gt)), value)
         per_level[:, 2] += np.bincount(level[rows], minlength=n_levels)
         matched_union[rows] = True
@@ -440,7 +509,13 @@ def eval_criteria(preds: Sequence, annotations_per_image: Sequence[AnnotationSet
                   base_fraction: float, n_thresholds: int = N_THRESHOLDS) -> EvalReport:
     """Score every prediction three ways: standard tolerance with
     post-processing, quarter tolerance with post-processing, and standard
-    tolerance on the raw map."""
+    tolerance on the raw map.
+
+    The standard-tolerance pairs are searched once per image, over the raw
+    support ``p > 0``: thickness matches on that graph, and correctness on
+    its rows of the thinned support, which is part of the raw one. The
+    raw-support graph is dropped before localness searches its own pairs at
+    the quarter tolerance."""
     preds = [as_probability_map(p) for p in preds]
     anns = list(annotations_per_image)
     if not preds:
@@ -455,9 +530,16 @@ def eval_criteria(preds: Sequence, annotations_per_image: Sequence[AnnotationSet
     for i, (p, ann) in enumerate(zip(preds, anns)):
         tol = tolerance_pixels(p.shape[0], p.shape[1], base_fraction)
         thin = nms_thin(p)
-        counts[:, i] = (_counts_at_thresholds(thin, ann, thresholds, tol),
-                        _counts_at_thresholds(thin, ann, thresholds, tol / 4.0),
-                        _counts_at_thresholds(p, ann, thresholds, tol))
+        gts = ann.maps > 0.5
+        on = p > 0.0
+        graphs = _neighbor_graphs(on, gts, tol)
+        counts[2, i] = _counts_on_graphs(p[on], graphs, gts, thresholds)
+        # the thinned support's rows, in row-major order as in the raw one
+        sel = (thin > 0.0)[on]
+        graphs = [(lengths[sel], indices[np.repeat(sel, lengths)]) for lengths, indices in graphs]
+        counts[0, i] = _counts_on_graphs(thin[thin > 0.0], graphs, gts, thresholds)
+        del graphs
+        counts[1, i] = _counts_at_thresholds(thin, ann, thresholds, tol / 4.0)
     return EvalReport(*(CriterionResult(*summarize(c, thresholds, name))
                         for name, c in zip(_CRITERIA, counts)))
 

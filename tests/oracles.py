@@ -230,6 +230,22 @@ def augmenting_path_matched(adj, order):
     return {i for i in order if try_augment(i, set())}
 
 
+def priority_matched_loops(lengths, indices, n_gt, value):
+    """The greedy matched rows of a neighbor graph given as per-row edge
+    counts and the concatenated column indices of all rows: rows of positive
+    value are visited by value, highest first, ties in row order, and Kuhn's
+    algorithm keeps each one that an augmenting path can add. ``n_gt`` is the
+    column count. Returns the set of kept rows."""
+    adj = []
+    pos = 0
+    for n in lengths:
+        adj.append([int(j) for j in indices[pos:pos + n]])
+        pos += n
+    assert pos == len(indices) and all(0 <= j < n_gt for row in adj for j in row)
+    order = sorted((i for i in range(len(adj)) if value[i] > 0), key=lambda i: (-value[i], i))
+    return augmenting_path_matched(adj, order)
+
+
 def max_matching_loops(left_pts, right_pts, tol):
     """Maximum-cardinality matching by augmenting paths (Kuhn's algorithm).
 

@@ -432,6 +432,8 @@ EXIT_CASES = [
      "eval --manifest {dir}/crb.tsv --max-dist-fraction nan --out-dir {dir}/e", 3),
     ("eval-max-dist-fraction-inf",
      "eval --manifest {dir}/crb.tsv --max-dist-fraction inf --out-dir {dir}/e", 3),
+    ("eval-max-dist-fraction-overflow",
+     "eval --manifest {dir}/crb.tsv --max-dist-fraction 1e308 --out-dir {dir}/e", 3),
     ("eval-nan-prediction", "eval --manifest {dir}/nan.tsv --out-dir {dir}/e", 5),
     ("eval-one-pixel-side-prediction", "eval --manifest {dir}/row.tsv --out-dir {dir}/e", 4),
     ("infer-scales-not-numbers",

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import gaussian_filter
 
+from crispedge import evalbench
 from crispedge.data import gen_synthetic
 from crispedge.errors import ContractError, DomainError, ShapeError
 from crispedge.evalbench import (
     _counts_at_thresholds,
     _neighbor_graphs,
+    _priority_matched,
     average_precision,
     default_thresholds,
     eval_criteria,
@@ -29,8 +31,8 @@ from crispedge.evalbench import (
 from crispedge.losses import AnnotationSet
 from crispedge.network import build_refine_net, predict
 
-from oracles import (max_matching_loops, neighbor_graph, priority_counts, summarize_loops,
-                     thin_loops)
+from oracles import (max_matching_loops, neighbor_graph, priority_counts, priority_matched_loops,
+                     summarize_loops, thin_loops)
 
 
 def ring_mask(n=12):
@@ -401,6 +403,138 @@ def test_matching_does_not_stall_on_a_crisp_bsds_map(run_python):
     assert (detected, matched, total) == ("779", "777", "783")
 
 
+def dummy_padded(graph):
+    """Whether an assignment graph ends in one weight-1 dummy row per
+    column, as the assignment over every candidate row does; a graph cut to
+    a prefix has no dummy rows."""
+    n = graph.shape[1]
+    return (graph.shape[0] > n and np.array_equal(np.diff(graph.indptr[-n - 1:]), np.ones(n))
+            and np.array_equal(graph.indices[-n:], np.arange(n))
+            and np.array_equal(graph.data[-n:], np.ones(n)))
+
+
+@pytest.fixture
+def assignments(monkeypatch):
+    """Records each assignment graph ``_priority_matched`` solves and whether
+    scipy found its full matching; ``assignments.cut = False`` makes every
+    graph cut to a prefix fail, as though the prefix could not match."""
+    real = evalbench.min_weight_full_bipartite_matching
+
+    class Log(list):
+        cut = True
+
+    log = Log()
+
+    def record(graph, maximize):
+        if not log.cut and not dummy_padded(graph):
+            log.append((graph, False))
+            raise ValueError("no full matching exists")
+        try:
+            result = real(graph, maximize=maximize)
+        except ValueError:
+            log.append((graph, False))
+            raise
+        log.append((graph, True))
+        return result
+
+    monkeypatch.setattr(evalbench, "min_weight_full_bipartite_matching", record)
+    return log
+
+
+def prefix_bound(lengths, indices, value):
+    """The cut's prefix length k and covered pixel count, by loops: covered
+    pixels have an edge from a row of positive value, and k is twice the
+    larger of their count and the shortest value-ranked prefix whose rows
+    reach every one of them."""
+    starts = np.concatenate([[0], np.cumsum(lengths)])
+    order = sorted((i for i in range(len(lengths)) if value[i] > 0 and lengths[i] > 0),
+                   key=lambda i: (-value[i], i))
+    best = {}
+    for r, i in enumerate(order):
+        for j in indices[starts[i]:starts[i + 1]]:
+            best.setdefault(int(j), r)
+    return 2 * max(max(best.values()) + 1, len(best)), len(best)
+
+
+def test_priority_matched_equals_greedy_oracle_on_random_graphs(assignments):
+    # many more candidate rows than columns, values with ties or continuous,
+    # zeros and rows without edges; in two graphs of three, columns 0 and 1
+    # have only two neighbors, the highest row and the lowest, so that a
+    # prefix cut cannot match them both and falls back to every row
+    rng = np.random.default_rng(26)
+    for trial in range(150):
+        m = int(rng.integers(10, 80))
+        n_gt = int(rng.integers(3, 12))
+        value = rng.integers(1, 6, m) / 5.0 if trial % 2 else rng.random(m)
+        value[rng.random(m) < 0.2] = 0.0
+        lengths = np.minimum(rng.integers(0, 4, m), n_gt - 2)
+        rows = [np.sort(rng.choice(np.arange(2, n_gt), size=n, replace=False)) for n in lengths]
+        if trial % 3:
+            rows[0], rows[1] = np.array([0, 1]), np.array([0, 1][int(rng.integers(2)):])
+            lengths[:2] = len(rows[0]), len(rows[1])
+            value[0], value[1] = 1.0, 0.01
+        perm = rng.permutation(m)
+        lengths, value = lengths[perm], value[perm]
+        indices = np.concatenate([rows[i] for i in perm]).astype(np.int64)
+        got = _priority_matched(lengths, indices, n_gt, value)
+        assert len(set(got.tolist())) == len(got)
+        assert set(got.tolist()) == priority_matched_loops(lengths, indices, n_gt, value), trial
+    cut = [ok for graph, ok in assignments if not dummy_padded(graph)]
+    assert cut.count(True) > 10 and cut.count(False) > 10
+
+
+def test_prefix_that_cannot_match_falls_back_to_every_row(assignments):
+    # annotator pixels (2, 2) and (2, 3) have one high detection, (1, 2), and
+    # one low, (3, 3), as neighbors; eight detections ring the distant pixel
+    # (9, 9). The top k = 6 rows reach all three pixels but hold only one
+    # neighbor of the first two, so the cut's assignment fails
+    gt = np.zeros((12, 12))
+    gt[2, 2:4] = gt[9, 9] = 1
+    p = np.zeros((12, 12))
+    p[1, 2] = 0.9
+    p[8:11, 8:11] = 0.8
+    p[9, 9] = 0.0
+    p[3, 3] = 0.2
+    thresholds = default_thresholds(33)
+    counts = _counts_at_thresholds(p, AnnotationSet([gt]), thresholds, 1.5)
+    assert [ok for _, ok in assignments] == [False, True]
+    assert assignments[0][0].shape == (6, 3)
+    for c, t in zip(counts.tolist(), thresholds):
+        assert tuple(c) == priority_counts(p, [gt], t, 1.5)
+    assert counts[0].tolist() == [3, 10, 3, 3]
+
+
+def test_thickness_assignment_is_cut_to_a_prefix(assignments):
+    # a blurred band puts several times more candidates than annotator
+    # pixels into the raw map's matching, and a short prefix settles it
+    h = w = 64
+    sample = gen_synthetic(1, (h, w), 3, 1.0, 0)[0]
+    p = gaussian_filter(sample.true_boundary, 2.0)
+    p /= p.max()
+    gts = sample.annotations.maps > 0.5
+    tol = tolerance_pixels(h, w, 0.05)
+    value = p[p > 0.0]
+    for (lengths, indices), gt in zip(_neighbor_graphs(p > 0.0, gts, tol), gts):
+        k, covered = prefix_bound(lengths, indices, value)
+        assert np.count_nonzero(lengths) > k
+        assignments.clear()
+        assignments.cut = True
+        rows = _priority_matched(lengths, indices, int(np.count_nonzero(gt)), value)
+        (graph, ok), = assignments
+        assert ok and graph.shape[0] <= k and graph.shape[1] == covered
+        assignments.cut = False
+        uncut = _priority_matched(lengths, indices, int(np.count_nonzero(gt)), value)
+        assert [ok for _, ok in assignments[1:]] == [False, True]
+        assert np.array_equal(np.sort(rows), np.sort(uncut))
+    # equal values rank the rows in row-major order, whose prefixes reach the
+    # last annotator pixels only near their end
+    assignments.clear()
+    for t in (0.1, 0.5):
+        for gt in gts:
+            match_boundaries(p >= t, gt, tol)
+    assert assignments and all(dummy_padded(graph) for graph, _ in assignments)
+
+
 # ---------------------------------------------------------------------------
 # per-threshold counting
 
@@ -556,6 +690,42 @@ def test_counts_at_a_threshold_do_not_depend_on_the_grid(case, pick):
     swept = _counts_at_thresholds(p, AnnotationSet(maps), thresholds, tol)
     assert np.array_equal(swept[thresholds.index(t)],
                           _counts_at_thresholds(p, AnnotationSet(maps), [t], tol)[0])
+
+
+def assert_criteria_counts_equal_own_searches(p, maps, fraction, n_thresholds):
+    """eval_criteria's correctness and thickness count rows, which share one
+    pair search, against ``_counts_at_thresholds`` of the thinned and the
+    raw map, each with its own search."""
+    counts = {}
+
+    def summarize_recording(c, thresholds, criterion):
+        counts[criterion] = c
+        return summarize(c, thresholds, criterion)
+
+    ann = AnnotationSet(maps)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evalbench, "summarize", summarize_recording)
+        eval_criteria([p], [ann], fraction, n_thresholds)
+    thresholds = default_thresholds(n_thresholds)
+    tol = tolerance_pixels(p.shape[0], p.shape[1], fraction)
+    assert np.array_equal(counts["correctness"][0],
+                          _counts_at_thresholds(nms_thin(p), ann, thresholds, tol))
+    assert np.array_equal(counts["thickness"][0], _counts_at_thresholds(p, ann, thresholds, tol))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=score_case())
+def test_criteria_sharing_one_pair_search_count_as_their_own_searches(case):
+    p, maps, tol, thresholds = case
+    fraction = max(tol, 0.5) / math.hypot(*p.shape)
+    assert_criteria_counts_equal_own_searches(p, maps, fraction, len(thresholds))
+
+
+@pytest.mark.parametrize("shape", [(6, 7), (1, 6), (6, 1)])
+def test_criteria_sharing_one_pair_search_on_zero_maps(shape):
+    gt = np.zeros(shape)
+    gt.flat[::3] = 1.0
+    assert_criteria_counts_equal_own_searches(np.zeros(shape), [gt], 0.2, 9)
 
 
 # ---------------------------------------------------------------------------

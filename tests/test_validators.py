@@ -64,7 +64,9 @@ CASES = {
     "gen.jitter_px": (lambda v: gen_synthetic(1, (32, 32), 1, v, seed=0), below(0.0), ContractError),
     "infer.scales": (lambda v: ScaleSet((1.0, v)), at_most(0.0) | above(4.0), ContractError),
     "probability": (probability_map_with, below(0.0) | above(1.0), DomainError),
-    "eval.max_dist_fraction": (lambda v: tolerance_pixels(32, 48, v), at_most(0.0), ContractError),
+    # past about 3.1e306 the tolerance, a fraction of the 57.7 px diagonal, overflows
+    "eval.max_dist_fraction": (lambda v: tolerance_pixels(32, 48, v),
+                               at_most(0.0) | at_least(3.2e306), ContractError),
 }
 
 
