@@ -247,22 +247,27 @@ def _priority_matched(lengths: np.ndarray, indices: np.ndarray, n_gt: int,
     never match. Each row's column indices must ascend.
 
     The matchable row sets form a transversal matroid, so this greedy set is
-    the unique maximum-weight matched set under any distinct positive weights
-    that order the rows that way, and it is found by a sparse
-    Jonker-Volgenant assignment. Every prefix of the order, such as the rows
-    at or above a threshold, keeps of the greedy set a maximum matching of
-    its own rows, whatever other rows there are.
+    the unique least-weight maximum matched set under any distinct weights
+    that rise with the rank, and a sparse Jonker-Volgenant assignment finds
+    it. Every prefix of the order, such as the rows at or
+    above a threshold, keeps of the greedy set a maximum matching of its own
+    rows, whatever other rows there are.
 
-    The assignment's cost grows with its rows times the annotator pixels,
-    and a short prefix of the order often settles the whole set, so such a
-    prefix is tried first (``_prefix_matched``). The prefix must reach the
-    last annotator pixel in reach, in row-major order, and it is tried only
-    when twice the best rank among the rows that do leaves rows out.
-    ``match_boundaries`` passes equal values, which rank the rows in
-    row-major order, so it seldom tries one. Without a prefix that settles
-    the set, every candidate row is assigned: among m candidates the row of
-    rank r (from 0) weighs ``m + 1 - r``, and each annotator pixel has a
-    private dummy row of weight 1, so a full assignment always exists.
+    Only the covered annotator pixels, those with an edge from a candidate
+    row, take part; they are the columns, and the row of rank r (from 0)
+    weighs ``r + 1``. The assignment's cost grows with its rows times its
+    columns, and a short prefix of the ranking often settles the whole set,
+    so the top ``k`` rows are assigned first, ``k`` twice the larger of the
+    covered count and the shortest prefix that reaches every covered pixel
+    (a shorter one cannot match them all; the slack keeps the assignment off
+    nearly square graphs, and a cut to the covered count alone ran for over
+    a minute on a crisp 321x481 map). When they match every covered pixel,
+    they are the answer: the prefix's greedy set is the full greedy set
+    restricted to the prefix, and it is already as large as any matched set.
+    Otherwise scipy raises ``ValueError``, and all m candidates are assigned
+    with one private dummy row of weight ``m + 1`` per covered pixel, so a
+    full assignment always exists; the least total weight then matches as
+    many candidates as can be, and among those the greedy set.
     """
     rows = np.flatnonzero((value > 0) & (lengths > 0))
     if not len(rows):
@@ -273,63 +278,39 @@ def _priority_matched(lengths: np.ndarray, indices: np.ndarray, n_gt: int,
     rank = np.empty(m, dtype=np.int64)
     rank[np.argsort(-value[rows], kind="stable")] = np.arange(m)
     counts = lengths[rows]
+    covered = np.zeros(n_gt, dtype=bool)
     cols = indices[np.repeat(value > 0, lengths)]
-    indptr = np.zeros(m + n_gt + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:m + 1])
-    # a row reaches the last annotator pixel in reach when its last column
-    # is that pixel
-    last = cols[indptr[1:m + 1] - 1]
-    if 2 * (rank[last == last.max()].min() + 1) < m:
-        matched = _prefix_matched(counts, cols, rank, n_gt)
-        if matched is not None:
-            return rows[matched]
-    indptr[m + 1:] = indptr[m] + np.arange(1, n_gt + 1)
-    data = np.concatenate([np.repeat((m + 1 - rank).astype(float), counts), np.ones(n_gt)])
-    graph = csr_matrix((data, np.concatenate([cols, np.arange(n_gt)]), indptr),
-                       shape=(m + n_gt, n_gt))
-    matched, _ = min_weight_full_bipartite_matching(graph, maximize=True)
+    covered[cols] = True
+    column = np.cumsum(covered) - 1
+    cols = column[cols]
+    n = int(column[-1]) + 1
+    # each covered pixel's best-ranked neighbor
+    best = np.full(n, m)
+    np.minimum.at(best, cols, np.repeat(rank, counts))
+    k = 2 * max(int(best.max()) + 1, n)
+    if k < m:
+        keep = rank < k
+        try:
+            matched = _assigned(rank[keep] + 1, counts[keep], cols[np.repeat(keep, counts)], n)
+            return rows[keep][matched]
+        except ValueError:   # the prefix cannot match every covered pixel
+            pass
+    matched = _assigned(np.concatenate([rank + 1, np.full(n, m + 1)]),
+                        np.concatenate([counts, np.ones(n, dtype=np.int64)]),
+                        np.concatenate([cols, np.arange(n)]), n)
     return rows[matched[matched < m]]
 
 
-def _prefix_matched(counts: np.ndarray, cols: np.ndarray, rank: np.ndarray,
-                    n_gt: int) -> np.ndarray | None:
-    """The greedy matched rows, as ``_priority_matched`` defines them, of
-    rows of ranks ``rank`` with ``counts`` edges each to the columns
-    ``cols``, found on a prefix of the ranking, or None when no prefix
-    tried settles them.
-
-    An annotator pixel is covered when a row has an edge to it, and no rows
-    match more than the covered pixels. Let ``k`` be twice the larger of the
-    covered count and the shortest prefix that reaches every covered pixel
-    (a shorter one cannot match them all; the slack keeps the assignment
-    off nearly square graphs, and a cut to the covered count alone ran for
-    over a minute on a crisp 321x481 map). With more than ``k`` rows, the
-    top ``k`` are assigned to the covered pixels alone, the row of rank r
-    weighing ``k - r``. When every covered pixel is matched, those rows are
-    the answer: the prefix's greedy set is the full greedy set restricted to
-    the prefix, and it is already as large as any matched set. When scipy
-    finds no such matching it raises ``ValueError``, and None is returned.
-    """
-    covered = np.zeros(n_gt, dtype=bool)
-    covered[cols] = True
-    n_covered = int(np.count_nonzero(covered))
-    # each covered pixel's best-ranked neighbor
-    best = np.full(n_gt, len(rank))
-    np.minimum.at(best, cols, np.repeat(rank, counts))
-    k = 2 * max(int(best[covered].max()) + 1, n_covered)
-    if k >= len(rank):
-        return None
-    keep = rank < k
-    indptr = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(counts[keep], out=indptr[1:])
-    column = np.cumsum(covered) - 1
-    graph = csr_matrix((np.repeat((k - rank[keep]).astype(float), counts[keep]),
-                        column[cols[np.repeat(keep, counts)]], indptr), shape=(k, n_covered))
-    try:
-        matched, _ = min_weight_full_bipartite_matching(graph, maximize=True)
-    except ValueError:   # the prefix cannot match every covered pixel
-        return None
-    return np.flatnonzero(keep)[matched]
+def _assigned(weights: np.ndarray, counts: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """The rows of the least-weight assignment that matches each of the
+    ``n`` columns, where row i has ``counts[i]`` edges of weight
+    ``weights[i]`` to the columns ``cols``; scipy raises ``ValueError`` when
+    no assignment matches every column."""
+    indptr = np.zeros(len(weights) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    graph = csr_matrix((np.repeat(weights.astype(float), counts), cols, indptr),
+                       shape=(len(weights), n))
+    return min_weight_full_bipartite_matching(graph)[0]
 
 
 def match_boundaries(detected, gt, tol_px: float) -> tuple[int, int]:

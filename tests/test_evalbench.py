@@ -404,13 +404,15 @@ def test_matching_does_not_stall_on_a_crisp_bsds_map(run_python):
 
 
 def dummy_padded(graph):
-    """Whether an assignment graph ends in one weight-1 dummy row per
-    column, as the assignment over every candidate row does; a graph cut to
-    a prefix has no dummy rows."""
+    """Whether an assignment graph ends in one dummy row per column, each
+    weighing one more than the m candidate rows before them, as the
+    assignment over every candidate row does; a graph cut to a prefix has no
+    dummy rows."""
     n = graph.shape[1]
+    dummy = graph.shape[0] - n + 1
     return (graph.shape[0] > n and np.array_equal(np.diff(graph.indptr[-n - 1:]), np.ones(n))
             and np.array_equal(graph.indices[-n:], np.arange(n))
-            and np.array_equal(graph.data[-n:], np.ones(n)))
+            and np.array_equal(graph.data[-n:], np.full(n, dummy)))
 
 
 @pytest.fixture
@@ -425,12 +427,12 @@ def assignments(monkeypatch):
 
     log = Log()
 
-    def record(graph, maximize):
+    def record(graph):
         if not log.cut and not dummy_padded(graph):
             log.append((graph, False))
             raise ValueError("no full matching exists")
         try:
-            result = real(graph, maximize=maximize)
+            result = real(graph)
         except ValueError:
             log.append((graph, False))
             raise
@@ -483,11 +485,12 @@ def test_priority_matched_equals_greedy_oracle_on_random_graphs(assignments):
     assert cut.count(True) > 10 and cut.count(False) > 10
 
 
-def test_prefix_that_cannot_match_falls_back_to_every_row(assignments):
-    # annotator pixels (2, 2) and (2, 3) have one high detection, (1, 2), and
-    # one low, (3, 3), as neighbors; eight detections ring the distant pixel
-    # (9, 9). The top k = 6 rows reach all three pixels but hold only one
-    # neighbor of the first two, so the cut's assignment fails
+def unsettled_prefix_map():
+    """Annotator pixels (2, 2) and (2, 3) have one high detection, (1, 2),
+    and one low, (3, 3), as neighbors at tolerance 1.5; eight detections
+    ring the distant pixel (9, 9). The top k = 6 rows reach all three pixels
+    but hold only one neighbor of the first two, so the cut's assignment
+    fails. Returns the map and the annotator map."""
     gt = np.zeros((12, 12))
     gt[2, 2:4] = gt[9, 9] = 1
     p = np.zeros((12, 12))
@@ -495,6 +498,11 @@ def test_prefix_that_cannot_match_falls_back_to_every_row(assignments):
     p[8:11, 8:11] = 0.8
     p[9, 9] = 0.0
     p[3, 3] = 0.2
+    return p, gt
+
+
+def test_prefix_that_cannot_match_falls_back_to_every_row(assignments):
+    p, gt = unsettled_prefix_map()
     thresholds = default_thresholds(33)
     counts = _counts_at_thresholds(p, AnnotationSet([gt]), thresholds, 1.5)
     assert [ok for _, ok in assignments] == [False, True]
@@ -502,6 +510,21 @@ def test_prefix_that_cannot_match_falls_back_to_every_row(assignments):
     for c, t in zip(counts.tolist(), thresholds):
         assert tuple(c) == priority_counts(p, [gt], t, 1.5)
     assert counts[0].tolist() == [3, 10, 3, 3]
+
+
+def test_assignments_have_one_column_per_covered_annotator_pixel(assignments):
+    # an annotator pixel, (11, 0), that no detection reaches gets a column
+    # in neither the prefix graph nor the fallback graph
+    p, gt = unsettled_prefix_map()
+    gt[11, 0] = 1
+    thresholds = default_thresholds(33)
+    counts = _counts_at_thresholds(p, AnnotationSet([gt]), thresholds, 1.5)
+    assert [ok for _, ok in assignments] == [False, True]
+    assert [graph.shape for graph, _ in assignments] == [(6, 3), (10 + 3, 3)]
+    assert dummy_padded(assignments[1][0])
+    for c, t in zip(counts.tolist(), thresholds):
+        assert tuple(c) == priority_counts(p, [gt], t, 1.5)
+    assert counts[0].tolist() == [3, 10, 3, 4]
 
 
 def test_thickness_assignment_is_cut_to_a_prefix(assignments):
